@@ -18,11 +18,17 @@ _COEF_TOL = 1e-12
 
 
 class DesignInfeasibleError(RuntimeError):
-    """Raised when no stable NTF of the requested order meets the target."""
+    """Raised when no stable NTF of the requested order meets the target.
 
-    def __init__(self, message, achieved_rms_db=None):
+    Carries the requested order and, once an NTF was fitted, its in-band RMS
+    error in dB and its peak gain |NTF| on the unit circle (None before).
+    """
+
+    def __init__(self, message, achieved_rms_db=None, peak_gain=None, order=None):
         super().__init__(message)
         self.achieved_rms_db = achieved_rms_db
+        self.peak_gain = peak_gain
+        self.order = order
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,7 +339,8 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
         if stage1 is None or sol.cost < stage1.cost:
             stage1 = sol
     if stage1 is None:
-        raise DesignInfeasibleError("pole optimization failed for all starting points")
+        raise DesignInfeasibleError("pole optimization failed for all starting points",
+                                    order=order)
 
     # stage 2: polish zero angles jointly with the poles
     def split(x):
@@ -352,27 +359,28 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
         if best is None or sol.cost < best.cost:
             best = sol
     if best is None:
-        raise DesignInfeasibleError("joint zero/pole polish failed")
+        raise DesignInfeasibleError("joint zero/pole polish failed", order=order)
 
     zeros, poles = split(best.x)
     ntf = RationalTf(zeros, poles, 1.0)
     peak = float(np.max(np.abs(ntf(z_dense))))
     fit = eval_resid(zeros, poles)[:-1]
     rms_db = 10.0 * float(np.sqrt(np.mean(fit ** 2)))
+    fitted = {"achieved_rms_db": rms_db, "peak_gain": peak, "order": order}
     if peak > cap * 1.01:
         raise DesignInfeasibleError(
             f"peak NTF gain {peak:.3f} exceeds the cap {cap:.3f}; "
             f"in-band RMS error {rms_db:.2f} dB",
-            achieved_rms_db=rms_db,
+            **fitted,
         )
     if rms_db > rms_limit_db:
         raise DesignInfeasibleError(
             f"order-{order} NTF cannot express the target: in-band RMS error "
             f"{rms_db:.2f} dB exceeds {rms_limit_db:.2f} dB",
-            achieved_rms_db=rms_db,
+            **fitted,
         )
     if not ntf.is_stable():
-        raise DesignInfeasibleError("fitted NTF is unstable", achieved_rms_db=rms_db)
+        raise DesignInfeasibleError("fitted NTF is unstable", **fitted)
     return ntf
 
 

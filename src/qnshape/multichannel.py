@@ -9,8 +9,6 @@ global solution, which keeps the concatenation identity exact on the grid.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
@@ -171,13 +169,50 @@ def per_band_shaping(noise, plan):
     return results
 
 
+def _integer_ratio_edges(grid, cum, p_even, n):
+    """Edges of the integer-ratio plan for the cumulative power integral cum.
+
+    For each total T the cut positions are i/T of the band and a band from
+    cut i to cut j costs |P(j) - P(i) - p_even|.  rest[m-1][i] is the least
+    worst cost of covering positions i..T with m bands:
+    rest[m-1][i] = min_j max(cost[i, j], rest[m-2][j]).  Among the optimal
+    compositions the lexicographically first is taken, and a larger T
+    replaces a smaller one only if its worst relative deviation is lower by
+    more than 1e-15 -- the order and tie rule of enumerating every
+    composition.
+    """
+    best_edges, best_dev = None, np.inf
+    for total in range(n, 4 * n + 1):
+        pos = grid.f_lo + np.arange(total + 1) * (grid.width / total)
+        pos[-1] = grid.f_hi
+        at = np.interp(pos, grid.edges, cum)
+        cost = np.abs(at[None, :] - at[:, None] - p_even)
+        cost[np.tril_indices(total + 1)] = np.inf  # a band spans at least one unit
+        rest = [cost[:, total]]
+        for _ in range(n - 1):
+            rest.append(np.min(np.maximum(cost, rest[-1][None, :]), axis=1))
+        worst = rest[-1][0]
+        dev = float(worst) / p_even
+        if dev < best_dev - 1e-15:
+            # walk forward: the first cut whose band and best completion both
+            # stay within the optimum, then the next cut from there
+            cuts = [0]
+            for r in reversed(rest[:-1]):
+                cuts.append(int(np.argmax((cost[cuts[-1]] <= worst) & (r <= worst))))
+            cuts.append(total)
+            best_dev, best_edges = dev, pos[cuts]
+    return best_edges
+
+
 def partition_constrained(noise, budget_total, n, mode="equal-bandwidth"):
     """Partition under a bandwidth constraint instead of exact power balance.
 
     equal-bandwidth: uniform edges; per-band powers are the global solution's
-    integrals over each band, reported honestly unequal.  integer-ratio:
-    exhaustive search over integer width compositions (total units <= 4n)
-    minimizing the worst relative deviation from equal power.
+    integrals over each band, reported honestly unequal.  integer-ratio: the
+    integer width composition (n..4n total units) minimizing the worst
+    relative deviation from equal power, found exactly by a minimax dynamic
+    program over cut positions, O(n T^2) per total T, so any n up to the bin
+    count is accepted.
     """
     budget_total = as_budget(budget_total)
     if int(n) != n or n < 1:
@@ -189,33 +224,15 @@ def partition_constrained(noise, budget_total, n, mode="equal-bandwidth"):
 
     _, _, cum = _power_measure(noise, budget_total)
 
-    def band_powers(edges):
-        at = np.interp(edges, g.edges, cum)
-        return np.diff(at)
-
     if mode == "equal-bandwidth":
         edges = g.f_lo + np.arange(n + 1) * (g.width / n)
         edges[-1] = g.f_hi
     elif mode == "integer-ratio":
-        if comb(4 * n - 1, n - 1) > 2_000_000:
-            raise ValueError(f"integer-ratio search space too large for n={n}")
-        p_even = budget_total.p / n
-        best_edges = None
-        best_dev = np.inf
-        for total_units in range(n, 4 * n + 1):
-            for cuts in combinations(range(1, total_units), n - 1):
-                units = np.diff(np.concatenate([[0], cuts, [total_units]]))
-                edges = g.f_lo + np.concatenate([[0], np.cumsum(units)]) * (g.width / total_units)
-                edges[-1] = g.f_hi
-                dev = float(np.max(np.abs(band_powers(edges) - p_even))) / p_even
-                if dev < best_dev - 1e-15:
-                    best_dev = dev
-                    best_edges = edges
-        edges = best_edges
+        edges = _integer_ratio_edges(g, cum, budget_total.p / n, n)
     else:
         raise ValueError(f"unknown partition mode {mode!r}")
 
-    powers = band_powers(edges)
+    powers = np.diff(np.interp(edges, g.edges, cum))
     return PartitionPlan(
         edges=edges,
         per_band_power=powers,

@@ -280,6 +280,23 @@ class TestDesignNtf:
         with pytest.raises(DesignInfeasibleError) as exc_info:
             q.design_ntf(target, cfg)
         assert exc_info.value.achieved_rms_db > 0
+        assert exc_info.value.peak_gain > cfg.max_ntf_gain
+        assert exc_info.value.order == 2
+
+    def test_over_constrained_fit_reports_peak_and_order(self):
+        # a flat target within the gain cap, but an order-1 NTF is a
+        # first-order highpass and cannot be flat to 0.01 dB
+        fs = 4.8e9
+        cfg = q.ModulatorConfig(order=1, osr=12.0, sample_rate=fs)
+        grid = q.make_grid(0.0, cfg.band_edge, 32)
+        floor = cfg.step ** 2 / (12.0 * fs)
+        target = q.Psd(grid, np.full(32, floor * 0.5))
+        with pytest.raises(DesignInfeasibleError, match="cannot express") as exc_info:
+            q.design_ntf(target, cfg, rms_limit_db=0.01)
+        err = exc_info.value
+        assert err.order == 1
+        assert err.achieved_rms_db > 0.01
+        assert 1.0 <= err.peak_gain <= cfg.max_ntf_gain * 1.01
 
     def test_target_beyond_band_rejected(self):
         cfg = q.ModulatorConfig(order=4, osr=12.0, sample_rate=1.0)

@@ -1,11 +1,34 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import qnshape as q
 from qnshape.multichannel import _power_measure
 
 from conftest import random_smooth_psd
+
+
+def _exhaustive_integer_ratio(noise, p, n):
+    """Oracle: every composition of n..4n units in enumeration order; a plan
+    replaces the best so far only if better by more than 1e-15.  Returns the
+    edges and the worst relative deviation from equal power."""
+    g = noise.grid
+    _, _, cum = _power_measure(noise, q.PowerBudget(p))
+    p_even = p / n
+    best_edges, best_dev = None, np.inf
+    for total in range(n, 4 * n + 1):
+        for cuts in combinations(range(1, total), n - 1):
+            edges = g.f_lo + np.array([0, *cuts, total]) * (g.width / total)
+            edges[-1] = g.f_hi
+            powers = np.diff(np.interp(edges, g.edges, cum))
+            dev = float(np.max(np.abs(powers - p_even))) / p_even
+            if dev < best_dev - 1e-15:
+                best_edges, best_dev = edges, dev
+    return best_edges, best_dev
 
 
 class TestTimeInterleave:
@@ -186,6 +209,42 @@ class TestPartitionConstrained:
         assert_allclose(plan.per_band_bandwidth, best_widths, rtol=1e-12)
         got_dev = np.max(np.abs(plan.per_band_power - budget.p / 2)) / (budget.p / 2)
         assert got_dev == pytest.approx(best_dev, rel=1e-9)
+        assert sum(plan.per_band_power) == pytest.approx(budget.p, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sv=arrays(float, st.integers(16, 64), elements=st.floats(1e-3, 1e3)),
+           n=st.integers(2, 4), p=st.floats(1.0, 1e9), f_lo=st.sampled_from([0.0, 3.0]))
+    def test_integer_ratio_dp_matches_exhaustive_search(self, sv, n, p, f_lo):
+        g = q.make_grid(f_lo, f_lo + 5.0, sv.size)
+        noise = q.Psd(g, sv)
+        plan = q.partition_constrained(noise, q.PowerBudget(p), n, mode="integer-ratio")
+        _, best_dev = _exhaustive_integer_ratio(noise, p, n)
+        got_dev = float(np.max(np.abs(plan.per_band_power - p / n))) / (p / n)
+        assert abs(got_dev - best_dev) <= 1e-15
+
+        # the edges are a composition of some total T in n..4n units
+        units = (plan.edges - g.f_lo) / g.width
+        totals = [t for t in range(n, 4 * n + 1)
+                  if np.allclose(units * t, np.rint(units * t), rtol=0, atol=1e-9)]
+        assert totals and plan.num_bands == n
+        assert plan.edges[0] == g.f_lo and plan.edges[-1] == g.f_hi
+        assert np.all(np.diff(np.rint(units * totals[0])) >= 1)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_integer_ratio_ties_take_first_composition(self, n):
+        # the first bin holds 94% of the power, so the first band sets the
+        # worst deviation and every split of the rest ties exactly: the
+        # enumeration keeps the first optimal composition it meets
+        g = q.make_grid(0.0, 1.0, 64)
+        noise = q.Psd(g, np.where(g.centers < 1 / 64, 1e-9, 1.0))
+        plan = q.partition_constrained(noise, q.PowerBudget(100.0), n, mode="integer-ratio")
+        edges, _ = _exhaustive_integer_ratio(noise, 100.0, n)
+        assert_array_equal(plan.edges, edges)
+
+    def test_integer_ratio_many_bands(self, wireline_fixture):
+        ch, budget = wireline_fixture
+        plan = q.partition_constrained(ch.noise, budget, 8, mode="integer-ratio")
+        assert plan.num_bands == 8
         assert sum(plan.per_band_power) == pytest.approx(budget.p, rel=1e-12)
 
     def test_unknown_mode(self):
