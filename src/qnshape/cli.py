@@ -22,34 +22,6 @@ from . import shaping as sh
 from . import spectral as sp
 from .spectral import _fmt
 
-_CONFIG_TYPES = {
-    "channel": str,
-    "bins": int,
-    "flo": float,
-    "fhi": float,
-    "power": float,
-    "seed": int,
-    "out": str,
-    "noise_floor": float,
-    "noise_tilt": float,
-    "notches": int,
-    "notch_depth": float,
-    "notch_width": float,
-    "order": int,
-    "osr": float,
-    "levels": int,
-    "step": float,
-    "max_ntf_gain": float,
-    "dither": lambda s: s.lower() in ("1", "true", "yes"),
-    "samples": int,
-    "fin_ratio": float,
-    "amplitude_dbfs": float,
-    "n": int,
-    "mode": str,
-    "sq": str,
-}
-
-
 @dataclass
 class RunConfig:
     """Resolved options for one CLI run."""
@@ -90,10 +62,10 @@ class RunConfig:
             raise ValueError(f"unknown channel {self.channel!r}")
         if self.sq is not None and not os.path.isfile(self.sq):
             raise ValueError(f"quantization PSD file not found: {self.sq}")
-        if self.out is not None:
-            os.makedirs(self.out, exist_ok=True)
-            if not os.access(self.out, os.W_OK):
-                raise ValueError(f"output directory not writable: {self.out}")
+        # the directory itself is made only once a command has its results
+        if self.out is not None and os.path.exists(self.out) and not (
+                os.path.isdir(self.out) and os.access(self.out, os.W_OK)):
+            raise ValueError(f"output directory not writable: {self.out}")
 
 
 def _load_channel(cfg):
@@ -139,10 +111,11 @@ def cmd_shape(cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         analytic = sh.optimal_sq(ch.noise, budget)
-    numeric = sh.optimal_sq_numerical(ch, budget, sh.SearchConfig(seed=cfg.seed))
+    numeric = sh.optimal_sq_numerical(ch, budget)
     report = sh.verify_shaping(ch, analytic.sq_opt, budget)
     gap_db = sp.to_db(numeric.sq_opt.values) - sp.to_db(analytic.sq_opt.values)
 
+    os.makedirs(out, exist_ok=True)
     sh.write_shaping_csv(analytic, os.path.join(out, "shaping.csv"))
     sh.write_summary(
         {
@@ -186,6 +159,7 @@ def cmd_capacity(cfg):
     for name, value in rows:
         print(f"{name:<{width}}  {_fmt(value)}")
     if cfg.out is not None:
+        os.makedirs(cfg.out, exist_ok=True)
         sh.write_summary(dict(rows), os.path.join(cfg.out, "summary.txt"))
     return 0
 
@@ -201,6 +175,7 @@ def cmd_partition(cfg):
         plan = mc.partition_constrained(ch.noise, budget, cfg.n, mode=cfg.mode)
     results = mc.per_band_shaping(ch.noise, plan)
 
+    os.makedirs(out, exist_ok=True)
     mc.write_plan_csv(plan, os.path.join(out, "plan.csv"))
     with open(os.path.join(out, "shaping.csv"), "w", encoding="utf-8") as fh:
         fh.write("frequency_hz,sq_opt,bits\n")
@@ -288,6 +263,7 @@ def cmd_simulate(cfg):
         measured_db = np.full(target.grid.num_bins, sp.DB_FLOOR)
         predicted_db = sp.to_db(design_fit.values)
 
+    os.makedirs(out, exist_ok=True)
     ds.write_tf(ntf, os.path.join(out, "ntf.txt"))
     sh.write_summary(entries, os.path.join(out, "summary.txt"))
     _write_curves_csv(
@@ -359,16 +335,20 @@ def build_parser():
     return parser
 
 
-def _apply_config_file(args, argv):
-    """Config-file values fill in anything not set on the command line."""
-    if args.config is None:
-        return
+def _apply_config_file(parser, args):
+    """Make the config file's values the chosen subcommand's defaults.
+
+    Parsing again then lets every command-line flag, abbreviated or not, win
+    over the file, and applies each option's own type to the file's values.
+    Keys of another subcommand's options are skipped.
+    """
     if not os.path.isfile(args.config):
         raise ValueError(f"config file not found: {args.config}")
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=")[0].replace("-", "_"))
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    options = {a.dest: a for sub in subparsers.values() for a in sub._actions
+               if a.option_strings and a.dest not in ("help", "config")}
+    own = {a.dest for a in subparsers[args.command]._actions}
+    defaults = {}
     with open(args.config, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
@@ -376,11 +356,14 @@ def _apply_config_file(args, argv):
                 continue
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _CONFIG_TYPES:
+            value = value.strip()
+            if key not in options:
                 raise ValueError(f"unknown config key {key!r}")
-            if key in explicit or not hasattr(args, key):
-                continue
-            setattr(args, key, _CONFIG_TYPES[key](value.strip()))
+            if key in own:
+                # flags such as --dither take no value on the command line
+                is_flag = options[key].nargs == 0
+                defaults[key] = value.lower() in ("1", "true", "yes") if is_flag else value
+    subparsers[args.command].set_defaults(**defaults)
 
 
 def _run_config_from_args(args):
@@ -405,7 +388,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config_file(args, argv)
+        if args.config is not None:
+            _apply_config_file(parser, args)
+            args = parser.parse_args(argv)
         cfg = _run_config_from_args(args)
         return _COMMANDS[cfg.command](cfg)
     except (ValueError, ds.DesignInfeasibleError, OSError) as exc:

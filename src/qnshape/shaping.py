@@ -2,9 +2,10 @@
 
 The closed form puts Sq proportional to Sv^(2/3) with a scale fixed by the
 power constraint; evaluating it with the discrete band sum makes the
-constraint exact on the grid.  An independent stochastic projected-descent
-optimizer minimizes the information-loss functional directly and serves as a
-numerical cross-check of the closed form, not as the production path.
+constraint exact on the grid.  That law is the small-noise limit of the
+optimum.  optimal_sq_numerical solves the same loss exactly (one cubic per
+bin and a bisection on the Lagrange multiplier) and serves as a cross-check
+of the closed form, not as the production path.
 """
 
 import warnings
@@ -16,7 +17,6 @@ from . import capacity
 from .capacity import BitProfile, PowerBudget, as_budget, bits_from_sq
 from .spectral import Psd, require_same_grid
 
-_LN2 = np.log(2.0)
 _SQRT12 = np.sqrt(12.0)
 
 SMALLNESS_WARN_RATIO = 0.1
@@ -28,8 +28,10 @@ class ShapingResult:
 
     lagrange_scale is the squared bracket constant multiplying Sv^(2/3); the
     underlying Lagrange multiplier is recoverable from it (see the
-    lagrange_multiplier property).  converged/iterations are meaningful for
-    numerically optimized results only.
+    lagrange_multiplier property).  For the exact solve it is c^(2/3), where
+    c is the common value of Sq^(3/2) / (Sv + Sq), so the multiplier keeps
+    its meaning.  converged/iterations (bisection steps) are meaningful for
+    the exact solve only.
     """
 
     sq_opt: Psd
@@ -48,26 +50,33 @@ class ShapingResult:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for the stochastic projected-descent verifier."""
+    """Stopping rules for the exact solve's bisection on the multiplier.
 
-    max_iters: int = 6000
-    step_scale: float = 0.5
+    max_iters bounds the bisection steps; tolerance is the width in log c
+    (about the relative width of the multiplier's bracket) at which it stops.
+    seed is accepted and unused, because the solve is deterministic; it stays
+    only because perfbench/workloads.py builds SearchConfig(seed=...).
+    """
+
+    max_iters: int = 200
     tolerance: float = 1e-12
     seed: int = 0
-    restarts: int = 2
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
 
 def _check_noise(noise):
     if np.any(noise.values <= 0):
         raise ValueError("noise PSD must be strictly positive")
+
+
+def _closed_form_scale(sv, delta, p):
+    bracket = delta * float(np.sum(sv ** (-1.0 / 3.0))) / (_SQRT12 * p)
+    return bracket * bracket
 
 
 def optimal_sq(noise, budget):
@@ -80,8 +89,7 @@ def optimal_sq(noise, budget):
     budget = as_budget(budget)
     g = noise.grid
     sv = noise.values
-    bracket = g.delta * float(np.sum(sv ** (-1.0 / 3.0))) / (_SQRT12 * budget.p)
-    scale = bracket * bracket
+    scale = _closed_form_scale(sv, g.delta, budget.p)
     sq_vals = sv ** (2.0 / 3.0) * scale
     ratio = float(np.max(sq_vals / sv))
     if ratio > SMALLNESS_WARN_RATIO:
@@ -102,24 +110,31 @@ def optimal_sq(noise, budget):
     )
 
 
-def _loss(sq_vals, sv, delta):
-    return delta * float(np.sum(np.log1p(sq_vals / sv))) / _LN2
-
-
-def _renormalize(sq_vals, delta, power_target):
-    # scaling Sq by g^2 scales the power integral by 1/g: one exact projection
-    integral = delta * float(np.sum(sq_vals ** -0.5)) / _SQRT12
-    return sq_vals * (integral / power_target) ** 2
+def _stationary_u(kappa):
+    """Positive root u of u^3 - kappa*u^2 - kappa = 0, elementwise."""
+    k2 = kappa * kappa
+    # Cardano with u = y + kappa/3: the discriminant kappa^4/27 + kappa^2/4 is a
+    # sum, and so is u = kappa/3 + s + kappa^2/(9 s); nothing cancels.  One
+    # Newton step polishes the last bits.
+    s = np.cbrt(kappa * k2 / 27.0 + 0.5 * kappa + np.sqrt(k2 * k2 / 27.0 + 0.25 * k2))
+    u = kappa / 3.0 + s + k2 / (9.0 * s)
+    return u - (u * u * (u - kappa) - kappa) / (u * (3.0 * u - 2.0 * kappa))
 
 
 def optimal_sq_numerical(ch, budget, cfg=None):
-    """Minimize the information-loss functional directly under the power
-    constraint, independently of the closed form.
+    """Exact minimizer of the information-loss functional under the power
+    constraint, without the closed form's small-noise approximation.
 
-    Projected descent in log(Sq): multiplicative steps along the constraint
-    tangent with exact power re-normalization after every move, plus annealed
-    random multiplicative kicks and independent restarts.  Non-convergence is
-    reported through the result's converged flag, never raised.
+    Stationarity gives Sq^(3/2) / (Sv + Sq) = c in every bin, so
+    u = sqrt(Sq/Sv) is the positive root of u^3 - kappa*u^2 - kappa = 0 with
+    kappa = c / sqrt(Sv).  The power falls as c grows: the closed form's
+    c0 = scale^(3/2) spends at most the budget and c0 / (1 + max Sq/Sv) at
+    least, so bisection in log c on that bracket finds the multiplier and a
+    last rescale meets the budget exactly.  In the variables Sq^(-1/2) the
+    objective is strictly convex and the constraint linear, so this
+    stationary point is the unique global optimum.  Non-convergence within
+    cfg.max_iters is reported through the result's converged flag, never
+    raised.
     """
     if cfg is None:
         cfg = SearchConfig()
@@ -128,68 +143,34 @@ def optimal_sq_numerical(ch, budget, cfg=None):
     _check_noise(noise)
     g = noise.grid
     sv = noise.values
-    delta = g.delta
-    k = g.num_bins
-    p = budget.p
+    scale = _closed_form_scale(sv, g.delta, budget.p)
+    inv_root_sv = sv ** -0.5
+    hi = 1.5 * np.log(scale)
+    lo = hi - np.log1p(float(np.max(scale * sv ** (-1.0 / 3.0))))
+    converged = False
+    for iters in range(1, cfg.max_iters + 1):
+        t = 0.5 * (lo + hi)
+        u = _stationary_u(np.exp(t) * inv_root_sv)
+        # power of Sq = u^2 Sv relative to the budget
+        excess = g.delta * float(np.sum(inv_root_sv / u)) / (_SQRT12 * budget.p)
+        if excess > 1.0:
+            lo = t
+        else:
+            hi = t
+        if hi - lo <= cfg.tolerance:
+            converged = True
+            break
 
-    best_sq = None
-    best_loss = np.inf
-    best_converged = False
-    best_iters = 0
-
-    for restart in range(cfg.restarts):
-        rng = np.random.default_rng([cfg.seed, restart])
-        sq = np.full(k, g.width ** 2 / (12.0 * p * p))
-        if restart > 0:
-            sq = sq * np.exp(0.5 * rng.standard_normal(k))
-        sq = _renormalize(sq, delta, p)
-        cur = _loss(sq, sv, delta)
-        step = cfg.step_scale
-        converged = False
-        iters = 0
-        check = cur
-
-        for it in range(cfg.max_iters):
-            iters = it + 1
-            grad = sq / (sv + sq)           # dL/d(ln Sq) up to a positive constant
-            normal = sq ** -0.5             # constraint gradient in log coordinates
-            tang = grad - (grad @ normal) / (normal @ normal) * normal
-            gmax = float(np.max(np.abs(tang)))
-            if gmax == 0.0:
-                converged = True
-                break
-            trial = _renormalize(sq * np.exp(-step * tang / gmax), delta, p)
-            t_loss = _loss(trial, sv, delta)
-            if t_loss < cur:
-                sq, cur = trial, t_loss
-                step = min(step * 1.3, 2.0)
-            else:
-                step *= 0.5
-            if (it & 31) == 0:
-                kick = _renormalize(sq * np.exp(step * 0.2 * rng.standard_normal(k)), delta, p)
-                k_loss = _loss(kick, sv, delta)
-                if k_loss < cur:
-                    sq, cur = kick, k_loss
-            if (it & 63) == 63:
-                if check - cur <= cfg.tolerance * max(abs(cur), 1e-300):
-                    converged = True
-                    break
-                check = cur
-
-        if cur < best_loss:
-            best_sq, best_loss = sq, cur
-            best_converged, best_iters = converged, iters
-
-    sq = Psd(g, best_sq)
-    scale = float(np.mean(best_sq / sv ** (2.0 / 3.0)))
+    # scaling Sq by g^2 scales the power by 1/g
+    sq = Psd(g, sv * (u * excess) ** 2)
     return ShapingResult(
         sq_opt=sq,
         bit_profile=bits_from_sq(sq),
         achieved_power=capacity.power_of_sq(sq),
-        info_loss=best_loss,
-        lagrange_scale=scale,
-        converged=best_converged,
-        iterations=best_iters,
+        info_loss=capacity.info_loss(noise, sq),
+        lagrange_scale=float(np.exp(2.0 * t / 3.0)),
+        converged=converged,
+        iterations=iters,
     )
 
 

@@ -245,6 +245,11 @@ def _read_rows(path, expected_header):
         if header != expected_header:
             raise ValueError(f"bad header {header!r}, expected {expected_header!r}")
         rows = [line.strip().split(",") for line in fh if line.strip()]
+    if not rows:
+        raise ValueError(f"{path}: no data rows after the header")
+    width = expected_header.count(",") + 1
+    if any(len(row) != width for row in rows):
+        raise ValueError(f"{path}: every row needs {width} columns")
     return np.array(rows, dtype=float)
 
 

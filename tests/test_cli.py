@@ -59,6 +59,25 @@ class TestShapeCommand:
         assert rc == 1
         assert "power" in capsys.readouterr().err
 
+    def test_failed_run_creates_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["shape", "--channel", "wireline", "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_existing_out_dir_is_used(self, tmp_path):
+        out = tmp_path / "d"
+        out.mkdir()
+        assert main(["shape", "--channel", "wireline", "--bins", "16",
+                     "--power", "1e12", "--out", str(out)]) == 0
+        assert (out / "summary.txt").exists()
+
+    def test_out_path_that_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "f"
+        out.write_text("")
+        assert main(["shape", "--channel", "wireline", "--bins", "16",
+                     "--power", "1e12", "--out", str(out)]) == 1
+        assert "not writable" in capsys.readouterr().err
+
 
 class TestCapacityCommand:
     def test_flat_channel_capacity_is_bandwidth(self, tmp_path, capsys):
@@ -106,6 +125,33 @@ class TestCapacityCommand:
         cap_summary = read_summary(tmp_path / "cap" / "summary.txt")
         assert float(cap_summary["info_loss_small_noise_bits_per_s"]) == pytest.approx(
             float(summary["info_loss"]), rel=1e-12)
+
+    def test_header_only_channel_file(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("frequency_hz,signal_psd,noise_psd\n")
+        rc = main(["capacity", "--channel", f"file:{path}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "empty.csv" in err
+
+    def test_short_rows_channel_file(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        path.write_text("frequency_hz,signal_psd,noise_psd\n1.0,1\n3.0,1\n")
+        rc = main(["capacity", "--channel", f"file:{path}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "short.csv" in err
+
+    def test_header_only_sq_file(self, tmp_path, capsys):
+        g = q.make_grid(0.0, 250.0, 16)
+        q.write_channel_csv(q.ChannelSpec(q.Psd(g, np.ones(16)), q.Psd(g, np.ones(16))),
+                            tmp_path / "ch.csv")
+        (tmp_path / "sq.csv").write_text("frequency_hz,psd\n")
+        rc = main(["capacity", "--channel", f"file:{tmp_path/'ch.csv'}",
+                   "--sq", str(tmp_path / "sq.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "sq.csv" in err
 
     def test_mismatched_sq_grid(self, tmp_path, capsys):
         g = q.make_grid(0.0, 250.0, 16)
@@ -202,6 +248,14 @@ class TestDeterminism:
         assert main(args + ["--out", str(out_b)]) == 0
         assert dir_bytes(out_a) == dir_bytes(out_b)
 
+    def test_shape_output_independent_of_seed(self, tmp_path):
+        # the wireline generator and the exact numerical solve use no RNG
+        args = ["shape", "--channel", "wireline", "--bins", "64", "--power", "2e12"]
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--seed", "0", "--out", str(out_a)]) == 0
+        assert main(args + ["--seed", "9", "--out", str(out_b)]) == 0
+        assert dir_bytes(out_a) == dir_bytes(out_b)
+
     def test_simulate_runs_identical(self, tmp_path):
         args = ["simulate", "--channel", "wireless", "--bins", "32",
                 "--fhi", "2e8", "--notches", "1", "--notch-depth", "12",
@@ -239,6 +293,37 @@ class TestConfigFile:
         rc = main(["shape", "--config", str(cfg_file), "--out", str(out)])
         assert rc == 0
         assert len((out / "shaping.csv").read_text().splitlines()) == 17
+
+    def test_abbreviated_flag_beats_config(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("bins=16\npower=1e12\n")
+        out = tmp_path / "d"
+        rc = main(["shape", "--config", str(cfg_file), "--pow", "3e12", "--bi", "8",
+                   "--out", str(out)])
+        assert rc == 0
+        assert read_summary(out / "summary.txt")["power_budget"] == "3000000000000"
+        assert len((out / "shaping.csv").read_text().splitlines()) == 9
+
+    def test_other_subcommand_keys_skipped(self, tmp_path):
+        # n belongs to partition, dither to simulate; shape ignores both
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("bins=16\npower=1e12\nn=3\ndither=true\nseed=4\n")
+        out = tmp_path / "d"
+        assert main(["shape", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert len((out / "shaping.csv").read_text().splitlines()) == 17
+
+    def test_config_dither_flag(self, tmp_path):
+        args = ["simulate", "--channel", "wireless", "--bins", "32",
+                "--fhi", "2e8", "--notches", "1", "--notch-depth", "12",
+                "--notch-width", "6e7", "--power", "7.5e14",
+                "--samples", str(2 ** 13), "--seed", "3"]
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("dither=true\n")
+        runs = {"file": ["--config", str(cfg_file)], "flag": ["--dither"], "off": []}
+        for name, extra in runs.items():
+            assert main(args + extra + ["--out", str(tmp_path / name)]) == 0
+        assert dir_bytes(tmp_path / "file") == dir_bytes(tmp_path / "flag")
+        assert dir_bytes(tmp_path / "file") != dir_bytes(tmp_path / "off")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

@@ -1,11 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 import qnshape as q
-from qnshape.shaping import _loss, _renormalize
 
 from conftest import random_smooth_psd
+
+_LN2 = np.log(2.0)
+_SQRT12 = np.sqrt(12.0)
+
+
+def _loss(sq_vals, sv, delta):
+    return delta * float(np.sum(np.log1p(sq_vals / sv))) / _LN2
+
+
+def _renormalize(sq_vals, delta, power_target):
+    # scaling Sq by g^2 scales the power integral by 1/g: one exact projection
+    integral = delta * float(np.sum(sq_vals ** -0.5)) / _SQRT12
+    return sq_vals * (integral / power_target) ** 2
 
 
 def flat_noise(level, width=1.0, k=8):
@@ -150,14 +164,14 @@ class TestNumericalOptimizer:
 
     def test_power_met_within_tolerance(self, wireline_fixture):
         ch, budget = wireline_fixture
-        res = q.optimal_sq_numerical(ch, budget, q.SearchConfig(seed=2, restarts=1))
+        res = q.optimal_sq_numerical(ch, budget, q.SearchConfig(seed=2))
         assert abs(res.achieved_power.p - budget.p) / budget.p < 1e-6
 
     def test_loss_decreases_with_budget(self):
         g = q.make_grid(0.0, 1.0, 16)
         ch = q.ChannelSpec(q.Psd(g, np.full(16, 1e4)), q.Psd(g, np.ones(16)))
         losses = [
-            q.optimal_sq_numerical(ch, q.PowerBudget(p), q.SearchConfig(seed=3, restarts=1)).info_loss
+            q.optimal_sq_numerical(ch, q.PowerBudget(p), q.SearchConfig(seed=3)).info_loss
             for p in (1e2, 1e4, 1e9)
         ]
         assert losses[0] > losses[1] > losses[2] > 0
@@ -165,9 +179,40 @@ class TestNumericalOptimizer:
     def test_non_convergence_flagged_not_raised(self, wireline_fixture):
         ch, budget = wireline_fixture
         res = q.optimal_sq_numerical(ch, budget,
-                                     q.SearchConfig(max_iters=3, restarts=1, seed=0))
+                                     q.SearchConfig(max_iters=3, seed=0))
         assert not res.converged
         assert res.sq_opt.values.shape == (256,)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(log_sv=arrays(float, st.integers(1, 300), elements=st.floats(-12.0, -3.0)),
+           log_w=st.floats(3.0, 9.0), log_p=st.floats(2.0, 14.0))
+    def test_exact_solve_properties(self, log_sv, log_w, log_p):
+        k = log_sv.size
+        g = q.make_grid(0.0, 10.0 ** log_w, k)
+        sv = 10.0 ** log_sv
+        ch = q.ChannelSpec(q.Psd(g, np.ones(k)), q.Psd(g, sv))
+        budget = q.PowerBudget(10.0 ** log_p)
+        res = q.optimal_sq_numerical(ch, budget)
+        assert res.converged
+        assert abs(res.achieved_power.p - budget.p) / budget.p <= 1e-12
+        sq = res.sq_opt.values
+        stationary = sq ** 1.5 / (sv + sq)
+        assert_allclose(stationary, stationary[0], rtol=1e-9, atol=0.0)
+        closed = q.optimal_sq(ch.noise, budget)
+        assert res.info_loss <= closed.info_loss * (1.0 + 1e-12)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 300), log_level=st.floats(-12.0, -3.0),
+           log_w=st.floats(3.0, 9.0), log_p=st.floats(2.0, 14.0))
+    def test_exact_solve_flat_noise(self, k, log_level, log_w, log_p):
+        w, p = 10.0 ** log_w, 10.0 ** log_p
+        g = q.make_grid(0.0, w, k)
+        ch = q.ChannelSpec(q.Psd(g, np.ones(k)), q.Psd(g, np.full(k, 10.0 ** log_level)))
+        res = q.optimal_sq_numerical(ch, q.PowerBudget(p))
+        assert res.converged
+        assert_allclose(res.sq_opt.values, w * w / (12.0 * p * p), rtol=1e-12, atol=0.0)
 
     def test_search_config_validation(self):
         with pytest.raises(ValueError):
