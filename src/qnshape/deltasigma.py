@@ -9,7 +9,6 @@ mid-rise quantizer and unit feedback.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, signal
 
 from ._kernels import modulator_core
 from .spectral import FrequencyGrid, Psd, estimate_psd, make_grid
@@ -221,25 +220,54 @@ _PEAK_GRID = 2048
 
 
 def _poles_from_params(x, order):
+    """Poles r*e^(+-j*phi) for each (r, phi) pair of x, then the real pole
+    x[-1] for odd order, with their derivatives d pole / d x as an
+    (order, len(x)) complex matrix."""
     pairs = order // 2
-    poles = []
-    for j in range(pairs):
-        r, phi = x[2 * j], x[2 * j + 1]
-        poles.append(r * np.exp(1j * phi))
-        poles.append(r * np.exp(-1j * phi))
+    r, phi = x[0:2 * pairs:2], x[1:2 * pairs:2]
+    up, down = np.exp(1j * phi), np.exp(-1j * phi)
+    poles = np.empty(order, dtype=complex)
+    poles[0:2 * pairs:2] = r * up
+    poles[1:2 * pairs:2] = r * down
+    d = np.zeros((order, len(x)), dtype=complex)
+    j = np.arange(pairs)
+    d[2 * j, 2 * j] = up
+    d[2 * j + 1, 2 * j] = down
+    d[2 * j, 2 * j + 1] = 1j * poles[0:2 * pairs:2]
+    d[2 * j + 1, 2 * j + 1] = -1j * poles[1:2 * pairs:2]
     if order % 2:
-        poles.append(complex(x[2 * pairs]))
-    return np.array(poles, dtype=complex)
+        poles[-1] = x[2 * pairs]
+        d[-1, 2 * pairs] = 1.0
+    return poles, d
 
 
 def _zeros_from_angles(angles, rho, odd):
-    zeros = []
-    for th in angles:
-        zeros.append(rho * np.exp(1j * th))
-        zeros.append(rho * np.exp(-1j * th))
+    """Zeros rho*e^(+-j*theta) for each angle, then the fixed real zero rho
+    for odd order, with their derivatives d zero / d angle."""
+    n = len(angles)
+    up, down = rho * np.exp(1j * angles), rho * np.exp(-1j * angles)
+    zeros = np.empty(2 * n + odd, dtype=complex)
+    zeros[0:2 * n:2] = up
+    zeros[1:2 * n:2] = down
+    d = np.zeros((zeros.size, n), dtype=complex)
+    j = np.arange(n)
+    d[2 * j, j] = 1j * up
+    d[2 * j + 1, j] = -1j * down
     if odd:
-        zeros.append(complex(rho))
-    return np.array(zeros, dtype=complex)
+        zeros[-1] = rho
+    return zeros, d
+
+
+def _log_mag_grad(z, zeros, dzeros, poles, dpoles):
+    """d ln|NTF(z)| / d x for a monic NTF whose roots move as dzeros, dpoles
+    (d root / d x); columns are the zero parameters, then the pole ones.
+
+    Each zero w adds ln|z - w| and each pole subtracts it, and
+    d ln|z - w| / dx = Re(-(dw/dx) / (z - w)).
+    """
+    z = z[:, None]
+    return np.hstack([np.real(-(1.0 / (z - zeros)) @ dzeros),
+                      np.real((1.0 / (z - poles)) @ dpoles)])
 
 
 def _carved_zero_angles(target_sq, cfg):
@@ -259,6 +287,8 @@ def _carved_zero_angles(target_sq, cfg):
 
 def _initial_pole_params(order, cfg):
     """Butterworth high-pass prototypes at a few cutoffs, as (r, phi) vectors."""
+    from scipy import signal
+
     fs = cfg.sample_rate
     starts = []
     for mult in (1.0, 1.8, 3.0):
@@ -283,7 +313,9 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
     peak-gain cap as a penalty: first the poles alone, with zeros fixed near
     the unit circle at angles carved from the target shape, then a joint
     polish of zero angles and poles (zero radii stay on the fixed shallow
-    rule).  Raises DesignInfeasibleError (carrying the achieved in-band RMS
+    rule).  Both stages give the solver the exact Jacobian, in closed form
+    from d ln|NTF| / d root, computed from the same evaluation as the
+    residual at each point.  Raises DesignInfeasibleError (carrying the achieved in-band RMS
     error) when the order cannot express the target's dynamic range or the
     gain cap cannot be met.
     """
@@ -293,6 +325,8 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
         raise ValueError("target PSD must be strictly positive in-band")
     if target_sq.grid.f_hi > cfg.band_edge * (1.0 + 1e-9) or target_sq.grid.f_lo < -1e-12 * fs:
         raise ValueError("target grid must lie within the signal band [0, fs/(2*osr)]")
+
+    from scipy import optimize
 
     theta_b = np.pi / cfg.osr
     zero_angles0 = _carved_zero_angles(target_sq, cfg)
@@ -309,32 +343,56 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
     pen_weight = 30.0 * np.sqrt(k_in)
     cap = cfg.max_ntf_gain
 
-    def eval_resid(zeros, poles):
+    def residual(zeros, poles):
+        """Fit rows and penalty row, plus the dense-grid peak and its index."""
         num_in = np.prod(z_in[:, None] - zeros[None, :], axis=1) if zeros.size else 1.0
         den_in = np.prod(z_in[:, None] - poles[None, :], axis=1)
         fit = np.log10(c0 * np.abs(num_in / den_in) ** 2) - log_target
         num_d = np.prod(z_dense[:, None] - zeros[None, :], axis=1) if zeros.size else 1.0
         den_d = np.prod(z_dense[:, None] - poles[None, :], axis=1)
-        peak = float(np.max(np.abs(num_d / den_d)))
-        return np.append(fit, pen_weight * max(0.0, (peak - cap) / cap))
+        mag_d = np.abs(num_d / den_d)
+        m = int(np.argmax(mag_d))
+        peak = float(mag_d[m])
+        return np.append(fit, pen_weight * max(0.0, (peak - cap) / cap)), peak, m
 
     pairs = order // 2
     pole_lo = np.array([0.0, 0.0] * pairs + ([0.0] if odd else []))
     pole_hi = np.array([0.97, 0.6 * np.pi] * pairs + ([0.97] if odd else []))
 
-    def solve(fun, x0, lo, hi):
+    def solve(roots, x0, lo, hi):
+        """Fit over x, where roots(x) -> (zeros, d zeros/dx, poles, d poles/dx).
+        The residual and its exact Jacobian share one evaluation per point."""
+        point = {}
+
+        def at(x):
+            if "x" not in point or not np.array_equal(point["x"], x):
+                rts = roots(x)
+                point.update(x=x.copy(), roots=rts, resid=residual(rts[0], rts[2]))
+            return point
+
+        def jac(x):
+            p = at(x)
+            _, peak, m = p["resid"]
+            rows = _log_mag_grad(np.append(z_in, z_dense[m]), *p["roots"])
+            rows[:-1] *= 2.0 / np.log(10.0)
+            # the penalty's slope pen_weight/cap * d peak/dx, at the peak bin
+            rows[-1] *= pen_weight / cap * peak if peak > cap else 0.0
+            return rows
+
         x0 = np.clip(x0, lo + 1e-6, hi - 1e-6)
-        return optimize.least_squares(fun, x0, bounds=(lo, hi), method="trf",
+        return optimize.least_squares(lambda x: at(x)["resid"][0], x0, jac=jac,
+                                      bounds=(lo, hi), method="trf",
                                       xtol=1e-12, ftol=1e-12, max_nfev=500)
 
     # stage 1: poles only, zeros frozen at the carved placement
-    zeros0 = _zeros_from_angles(zero_angles0, rho, odd)
+    zeros0, _ = _zeros_from_angles(zero_angles0, rho, odd)
+    frozen = (zeros0, np.zeros((zeros0.size, 0)))
     stage1 = None
     for x0 in _initial_pole_params(order, cfg):
         try:
-            sol = solve(lambda x: eval_resid(zeros0, _poles_from_params(x, order)),
+            sol = solve(lambda x: (*frozen, *_poles_from_params(x, order)),
                         x0, pole_lo, pole_hi)
-        except Exception:
+        except (ValueError, np.linalg.LinAlgError):
             continue
         if stage1 is None or sol.cost < stage1.cost:
             stage1 = sol
@@ -343,9 +401,9 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
                                     order=order)
 
     # stage 2: polish zero angles jointly with the poles
-    def split(x):
-        return (_zeros_from_angles(x[:n_zp], rho, odd),
-                _poles_from_params(x[n_zp:], order))
+    def joint(x):
+        return (*_zeros_from_angles(x[:n_zp], rho, odd),
+                *_poles_from_params(x[n_zp:], order))
 
     lo = np.concatenate([np.zeros(n_zp), pole_lo])
     hi = np.concatenate([np.full(n_zp, theta_b), pole_hi])
@@ -353,18 +411,18 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
     for x0 in (np.concatenate([zero_angles0, stage1.x]),
                np.concatenate([(np.arange(n_zp) + 0.5) / max(n_zp, 1) * theta_b, stage1.x])):
         try:
-            sol = solve(lambda x: eval_resid(*split(x)), x0, lo, hi)
-        except Exception:
+            sol = solve(joint, x0, lo, hi)
+        except (ValueError, np.linalg.LinAlgError):
             continue
         if best is None or sol.cost < best.cost:
             best = sol
     if best is None:
         raise DesignInfeasibleError("joint zero/pole polish failed", order=order)
 
-    zeros, poles = split(best.x)
+    zeros, _, poles, _ = joint(best.x)
     ntf = RationalTf(zeros, poles, 1.0)
     peak = float(np.max(np.abs(ntf(z_dense))))
-    fit = eval_resid(zeros, poles)[:-1]
+    fit = residual(zeros, poles)[0][:-1]
     rms_db = 10.0 * float(np.sqrt(np.mean(fit ** 2)))
     fitted = {"achieved_rms_db": rms_db, "peak_gain": peak, "order": order}
     if peak > cap * 1.01:
@@ -475,6 +533,8 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None,
     analytic curve (e.g. to compare against a shaping target), and supplies
     the grid when inband_grid is not given.
     """
+    from scipy import signal
+
     if not trace.stability_flag:
         raise ValueError("trace is from an unstable run; comparison is meaningless")
     fs = cfg.sample_rate

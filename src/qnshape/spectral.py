@@ -9,7 +9,6 @@ midpoint-rule Riemann sums on a uniform grid.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 DB_FLOOR = -200.0
 
@@ -198,6 +197,8 @@ def estimate_psd(samples, sample_rate, segment_len, overlap_fraction=0.5):
         raise ValueError("too few samples for the requested segment length")
     if not 0.0 <= overlap_fraction < 1.0:
         raise ValueError("overlap_fraction must be in [0, 1)")
+
+    from scipy import signal
 
     noverlap = int(overlap_fraction * segment_len)
     _, pxx = signal.welch(

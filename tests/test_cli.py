@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -273,6 +275,35 @@ class TestDeterminism:
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
         assert dir_bytes(out_a) == dir_bytes(out_b)
+
+
+class TestImports:
+    def test_shape_partition_capacity_never_load_scipy(self, tmp_path):
+        # a fresh process, because the test modules import scipy themselves
+        g = q.make_grid(0.0, 250.0, 16)
+        q.write_channel_csv(q.ChannelSpec(q.Psd(g, np.ones(16)), q.Psd(g, np.full(16, 0.1))),
+                            tmp_path / "ch.csv")
+        q.write_psd_csv(q.Psd(g, np.full(16, 0.05)), tmp_path / "sq.csv")
+        script = """
+import sys
+import qnshape
+from qnshape.cli import main
+loaded = {"import": "scipy" in sys.modules}
+for args in (["shape", "--channel", "wireline", "--bins", "64", "--power", "2e12", "--out", "s"],
+             ["partition", "--channel", "wireline", "--bins", "64", "--power", "2e12",
+              "--n", "4", "--out", "p"],
+             ["capacity", "--channel", "file:ch.csv", "--sq", "sq.csv", "--out", "c"]):
+    assert main(args) == 0, args
+    loaded[args[0]] = "scipy" in sys.modules
+print(loaded)
+"""
+        src = os.path.dirname(os.path.dirname(q.__file__))
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == str(
+            {"import": False, "shape": False, "partition": False, "capacity": False})
 
 
 class TestConfigFile:

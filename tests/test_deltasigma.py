@@ -1,5 +1,9 @@
+import contextlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import signal as sps
 
@@ -32,6 +36,22 @@ def random_stable_loop(rng, order):
 
     return q.RationalTf(conj_set(order - 1, 0.95), conj_set(order, 0.9),
                         rng.uniform(0.2, 2.0))
+
+
+def captured_problems(monkeypatch, target, cfg):
+    """Every (fun, jac, lo, hi) that design_ntf hands to least_squares.  The
+    solver is skipped (each call returns its start point), so the design
+    itself may end infeasible."""
+    problems = []
+
+    def spy(fun, x0, jac, bounds, **kwargs):
+        problems.append((fun, jac, *bounds))
+        return scipy.optimize.OptimizeResult(x=x0, cost=0.5 * float(np.sum(fun(x0) ** 2)))
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    with contextlib.suppress(DesignInfeasibleError):
+        q.design_ntf(target, cfg)
+    return problems
 
 
 class TestRationalTf:
@@ -270,6 +290,43 @@ class TestDesignNtf:
         tgt_db = 10.0 * np.log10(target.values)
         fit_db = 10.0 * np.log10(fitted.values)
         assert np.corrcoef(tgt_db, fit_db)[0, 1] > 0.9
+
+    @pytest.mark.parametrize("order, parent_rms_db", [(4, 0.9148), (5, 0.3235), (6, 0.3199)])
+    def test_shaped_target_fit_quality(self, dsm_fixture, order, parent_rms_db):
+        ch, budget, cfg = dsm_fixture
+        cfg = replace(cfg, order=order)
+        target = q.optimal_sq(ch.noise, budget).sq_opt
+        ntf = q.design_ntf(target, cfg)
+        err_db = 10.0 * np.log10(q.ntf_quant_psd(ntf, cfg, target.grid).values / target.values)
+        assert float(np.sqrt(np.mean(err_db ** 2))) <= parent_rms_db + 0.01
+        z = np.exp(1j * np.linspace(0.0, np.pi, 4096))
+        assert np.max(np.abs(ntf(z))) <= cfg.max_ntf_gain * 1.01
+        # 0.97 is the pole-radius bound of the fit, and order 4 sits on it
+        assert np.all(np.abs(ntf.poles) <= 0.97 * (1.0 + 1e-12))
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    @pytest.mark.parametrize("cap", [1.01, 1e6])
+    def test_jacobian_matches_central_differences(self, dsm_fixture, monkeypatch, order, cap):
+        # cap 1.01 puts every point's peak over the cap (penalty row active),
+        # cap 1e6 keeps it under (penalty row zero)
+        ch, budget, cfg = dsm_fixture
+        target = q.optimal_sq(ch.noise, budget).sq_opt
+        problems = captured_problems(monkeypatch, target,
+                                     replace(cfg, order=order, max_ntf_gain=cap))
+        assert len(problems) == 5  # three pole-only starts, two joint starts
+        stage1, stage2 = problems[0], problems[-1]
+        assert stage1[2].size == order
+        assert stage2[2].size == order + order // 2  # zero angles, then poles
+        rng = np.random.default_rng(order)
+        h = 1e-6
+        penalty_active = cap < 1.5
+        for fun, jac, lo, hi in (stage1, stage2):
+            for _ in range(3):
+                x = lo + (hi - lo) * rng.uniform(0.05, 0.95, lo.size)
+                assert (fun(x)[-1] > 0.0) == penalty_active
+                steps = h * np.eye(x.size)
+                fd = np.column_stack([(fun(x + e) - fun(x - e)) / (2.0 * h) for e in steps])
+                assert_allclose(jac(x), fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
 
     def test_infeasible_target_reports_achieved_error(self):
         fs = 4.8e9
