@@ -1,12 +1,17 @@
 """The delta-sigma modulator kernel, with optional numba acceleration.
 
 The modulator is a per-sample feedback recursion and cannot be vectorized.
-One loop body serves both paths.  Without numba it runs on Python floats:
-the signals are read and written through ``memoryview``s of float64 arrays
-and the loop state is a short list, which is several times faster than
-indexing numpy arrays element by element.  With numba installed (the
-``fast`` extra) the same body is JIT compiled and receives arrays instead.
-Set ``QNSHAPE_DISABLE_NUMBA=1`` to force the pure-Python path.
+``_modulator_body`` is the generic loop, written once for any loop order and
+quantizer mode.  With numba installed (the ``fast`` extra) it is JIT
+compiled and receives arrays.  Without numba, ``modulator_core`` runs a body
+generated from it for the loop order and the quantizer mode of the call
+(injected error, dithered or plain): the loop state lives in locals, the
+state update is unrolled into straight-line code, and the mode is fixed
+once per call instead of tested every sample.  Signals are read and written
+through ``memoryview``s of float64 arrays.  Each generated body keeps the
+generic body's float operations in the same order, so both paths give
+bit-identical results.  Set ``QNSHAPE_DISABLE_NUMBA=1`` to force the
+pure-Python path.
 
 Measure the kernel with the layer benchmark:
 ``python3 perfbench/run.py --workload compute --seed 11 --seconds 45 --trace 1``
@@ -101,11 +106,81 @@ def _modulator_body(x, b, a, step, levels, dither, inject, use_inject, state_lim
     return sat, max_state
 
 
+def _body_source(n, mode):
+    """Source of ``_modulator_body`` specialised to loop order n and one
+    quantizer mode: "inject", "dither" or "plain" (no dither).
+
+    The state s[j] becomes the local s{j}, b[j] and a[j] become b{j} and
+    a{j}, and the state update is unrolled.  Every float operation of the
+    generic body is kept in the same order, so the results are bit-identical.
+    The plain mode drops the generic body's ``+ 0.0`` and ``- 0.0`` for the
+    missing dither: they change at most the sign of a zero quantizer input,
+    and floor maps both signs of zero to the same level.
+    """
+    lines = ["def _body(x, b, a, step, levels, dither, inject, use_inject, state_limit, y, q, s):"]
+    if n > 0:
+        lines += [f"    {''.join(f'{c}{j}, ' for j in range(n))}= {c}" for c in "bas"]
+    lines += ["    top = (levels / 2.0 - 0.5) * step",
+              "    ntop = -top",
+              "    sat = 0",
+              "    max_state = 0.0",
+              "    for t in range(len(x)):",
+              f"        v = {'s0' if n > 0 else '0.0'}"]
+    if mode == "inject":
+        lines += ["        qt = inject[t]",
+                  "        yt = v + qt"]
+    else:
+        if mode == "dither":
+            lines += ["        d = dither[t]",
+                      "        r = (v + d) / step"]
+        else:
+            lines += ["        r = v / step"]
+        lines += [f"        if {-_INTEGRAL!r} < r < {_INTEGRAL!r}:",
+                  "            yt = (floor(r) + 0.5) * step",
+                  "        else:",
+                  "            yt = (r + 0.5) * step",
+                  "        if yt > top:",
+                  "            yt = top",
+                  "            sat += 1",
+                  "        elif yt < ntop:",
+                  "            yt = ntop",
+                  "            sat += 1"]
+        if mode == "dither":
+            lines += ["        yt -= d"]
+        lines += ["        qt = yt - v"]
+    lines += ["        y[t] = yt",
+              "        q[t] = qt",
+              "        u = x[t] - yt"]
+    for j in range(n):
+        head = f"s{j + 1} + " if j < n - 1 else ""
+        lines += [f"        s{j} = {head}b{j} * u - a{j} * v",
+                  f"        if abs(s{j}) > max_state:",
+                  f"            max_state = abs(s{j})"]
+    lines += ["        if max_state > state_limit:",
+              "            break"]
+    lines += [f"    s[{j}] = s{j}" for j in range(n)]
+    lines += ["    return sat, max_state"]
+    return "\n".join(lines) + "\n"
+
+
+_BODIES = {}
+
+
+def _python_body(n, mode):
+    """The specialised pure-Python body for (n, mode), compiled on first use."""
+    body = _BODIES.get((n, mode))
+    if body is None:
+        namespace = {"floor": floor}
+        exec(compile(_body_source(n, mode), f"<modulator body n={n} {mode}>", "exec"), namespace)
+        body = _BODIES[(n, mode)] = namespace["_body"]
+    return body
+
+
 def _as_float_array(v):
     return np.ascontiguousarray(v, dtype=float)
 
 
-# the numba path JIT compiles the very same body and hands it arrays
+# the numba path JIT compiles the generic body and hands it arrays
 _jit_body = njit(cache=True)(_modulator_body) if HAVE_NUMBA else None
 
 
@@ -116,9 +191,11 @@ def modulator_core(x, b, a, step, levels, dither, inject, use_inject, state_limi
     x = _as_float_array(x)
     y = np.zeros(x.size)
     q = np.zeros(x.size)
-    signals = (x, _as_float_array(dither), _as_float_array(inject), y, q)
+    dither = _as_float_array(dither)
+    signals = (x, dither, _as_float_array(inject), y, q)
     if _jit_body is None:
-        body = _modulator_body
+        mode = "inject" if use_inject else "dither" if dither.size > 0 else "plain"
+        body = _python_body(len(b), mode)
         signals = tuple(memoryview(v) for v in signals)
         b = [float(c) for c in b]
         a = [float(c) for c in a]

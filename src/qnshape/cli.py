@@ -9,6 +9,7 @@ files.
 """
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -225,6 +226,16 @@ def cmd_simulate(cfg):
         quantizer_levels=cfg.levels, step=cfg.step,
         max_ntf_gain=cfg.max_ntf_gain, dither=cfg.dither,
     )
+    for flag, value in (("--fin-ratio", cfg.fin_ratio), ("--amplitude-dbfs", cfg.amplitude_dbfs)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+    try:
+        amp = modcfg.full_scale * 10.0 ** (cfg.amplitude_dbfs / 20.0)
+    except OverflowError:
+        amp = math.inf
+    if not math.isfinite(amp):
+        raise ValueError(f"--amplitude-dbfs {cfg.amplitude_dbfs} gives an input amplitude "
+                         "beyond the float range")
 
     import warnings
     with warnings.catch_warnings():
@@ -236,7 +247,6 @@ def cmd_simulate(cfg):
     npts = cfg.samples
     t = np.arange(npts) / fs
     f_in = cfg.fin_ratio * grid.f_hi
-    amp = modcfg.full_scale * 10.0 ** (cfg.amplitude_dbfs / 20.0)
     x = amp * np.sin(2.0 * np.pi * f_in * t)
     trace = ds.simulate(loop, modcfg, x, seed=cfg.seed)
 

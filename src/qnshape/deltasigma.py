@@ -452,13 +452,16 @@ def simulate(h, cfg, input_samples, seed=0, injected_error=None):
     trace records the output, the per-sample quantizer error y-v, the
     saturation count, and a stability flag that clears when any loop state
     exceeds 10x quantizer full scale.  Instability is a reported state, not
-    an exception.
+    an exception.  Input and injected samples must be finite: a NaN state
+    never exceeds the limit, so such a run would pass as stable.
 
     injected_error is a test hook: when given, the quantizer is replaced by
     adding this known sequence to the loop-filter output, exercising the
     linearized model with a controlled error source.
     """
     x = np.ascontiguousarray(input_samples, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input_samples must be finite")
     bn, ad = h.coeffs()
     bn = bn / ad[0]
     ad = ad / ad[0]
@@ -478,6 +481,8 @@ def simulate(h, cfg, input_samples, seed=0, injected_error=None):
         inject = np.ascontiguousarray(injected_error, dtype=float)
         if inject.size != x.size:
             raise ValueError("injected_error must match the input length")
+        if not np.all(np.isfinite(inject)):
+            raise ValueError("injected_error must be finite")
         use_inject = True
     else:
         inject = np.zeros(0)

@@ -240,6 +240,28 @@ class TestSimulateCommand:
         assert rc == 1
         assert "order" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--fin-ratio", "nan", "--fin-ratio must be finite"),
+        ("--fin-ratio", "inf", "--fin-ratio must be finite"),
+        ("--amplitude-dbfs", "nan", "--amplitude-dbfs must be finite"),
+        ("--amplitude-dbfs", "-inf", "--amplitude-dbfs must be finite"),
+        ("--amplitude-dbfs", "7000", "beyond the float range"),
+    ])
+    def test_bad_input_tone_rejected_before_design(self, tmp_path, capsys, monkeypatch,
+                                                   flag, value, message):
+        def no_design(*args, **kwargs):
+            raise AssertionError("design_ntf ran")
+
+        monkeypatch.setattr(q.deltasigma, "design_ntf", no_design)
+        out = tmp_path / "d"
+        rc = main(["simulate", "--channel", "wireless", "--bins", "32", "--fhi", "2e8",
+                   "--power", "7.5e14", "--samples", "1024", f"{flag}={value}", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_shape_runs_identical(self, tmp_path):

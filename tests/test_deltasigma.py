@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import signal as sps
 
@@ -114,6 +116,32 @@ class TestLoopAlgebra:
                 continue
             back = q.ntf_from_loop(q.loop_from_ntf(ntf))
             assert np.max(np.abs(back(UNIT_CIRCLE_64) - ntf(UNIT_CIRCLE_64))) < 1e-10
+
+    @settings(max_examples=80, deadline=None)
+    @given(order=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_stf_plus_ntf_is_one_any_order(self, order, seed):
+        h = random_stable_loop(np.random.default_rng(seed), order)
+        total = q.stf_from_loop(h)(UNIT_CIRCLE_64) + q.ntf_from_loop(h)(UNIT_CIRCLE_64)
+        assert np.max(np.abs(total - 1.0)) < 1e-10
+
+    @settings(max_examples=80, deadline=None)
+    @given(order=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_loop_round_trip_any_order(self, order, seed):
+        # the error is measured against the peak |NTF|: an NTF pole near the
+        # unit circle makes |NTF| large there (thousands at order 6) and its
+        # absolute round-trip error grows with it
+        h = random_stable_loop(np.random.default_rng(seed), order)
+        ntf = q.ntf_from_loop(h)
+        if not ntf.is_stable():
+            with pytest.raises(ValueError, match="stable"):
+                q.loop_from_ntf(ntf)
+            return
+        back_h = q.loop_from_ntf(ntf)
+        back = q.ntf_from_loop(back_h)
+        n0 = ntf(UNIT_CIRCLE_64)
+        assert np.max(np.abs(back(UNIT_CIRCLE_64) - n0)) < 1e-10 * max(1.0, np.max(np.abs(n0)))
+        h0 = h(UNIT_CIRCLE_64)
+        assert np.max(np.abs(back_h(UNIT_CIRCLE_64) - h0)) < 1e-10 * max(1.0, np.max(np.abs(h0)))
 
     def test_first_order_inversion(self):
         ntf = q.RationalTf(np.array([1.0 + 0j]), np.array([0.0 + 0j]), 1.0)
@@ -245,6 +273,21 @@ class TestSimulate:
         trace = q.simulate(first_order_loop(), cfg, np.full(4096, 1.3))
         assert not trace.stability_flag
         assert trace.saturation_count > 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # a NaN state never exceeds the divergence limit, so such a run
+        # would otherwise report itself stable
+        h = random_stable_loop(np.random.default_rng(31), 2)
+        cfg = q.ModulatorConfig(order=2, osr=12, sample_rate=1.0)
+        x = np.zeros(100)
+        x[10] = bad
+        with pytest.raises(ValueError, match="input_samples must be finite"):
+            q.simulate(h, cfg, x)
+        inj = np.zeros(100)
+        inj[10] = bad
+        with pytest.raises(ValueError, match="injected_error must be finite"):
+            q.simulate(h, cfg, np.zeros(100), injected_error=inj)
 
     def test_dither_deterministic_in_seed(self):
         cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0, dither=True)

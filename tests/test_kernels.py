@@ -1,10 +1,14 @@
 """The modulator kernel must reproduce the numpy reference loop below bit for
 bit: same float operations in the same order, no fastmath.  Every backend
-available runs against it: the pure-Python path always, the numba JIT of
-the same body when numba is installed."""
+available runs against it: the pure-Python path (a body generated per loop
+order and quantizer mode) always, the numba JIT of the generic body when
+numba is installed.  The generic body itself, run in pure Python, must
+match it too, so the generated bodies and the numba path stay in step."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from qnshape import _kernels
@@ -90,12 +94,18 @@ def _run_both(core, *args):
 
 
 @pytest.mark.parametrize("dithered", [False, True])
-@pytest.mark.parametrize("order", [0, 1, 4])
+@pytest.mark.parametrize("order", range(9))
 def test_matches_reference(modulator_core, order, dithered):
+    # every order in all three quantizer modes: plain or dithered, then an
+    # injected error in place of the quantizer, which ignores any dither
     x, b, a, dither = _case(order, 4096, seed=order)
     if not dithered:
         dither = np.zeros(0)
     _run_both(modulator_core, x, b, a, STEP, LEVELS, dither, np.zeros(0), False, 10.0)
+    # with no quantizer to bound these random loops, only a limit near the
+    # top of the float range lets most of the run go through
+    inject = np.random.default_rng(order).uniform(-0.5, 0.5, 4096) * STEP
+    _run_both(modulator_core, x, b, a, STEP, LEVELS, dither, inject, True, 1e300)
 
 
 def test_saturating_input(modulator_core):
@@ -132,3 +142,46 @@ def test_huge_and_non_finite_inputs(modulator_core):
         y, _, _, _ = _run_both(modulator_core, x, b, a, STEP, LEVELS, np.zeros(0),
                                np.zeros(0), False, np.inf)
     assert np.isnan(y[-1])
+
+
+def _run_body(body, x, b, a, dither, inject, use_inject, state_limit):
+    """Call a loop body the way the pure-Python path does; returns the
+    reference's outputs plus the final loop state."""
+    y = np.zeros(x.size)
+    q = np.zeros(x.size)
+    s = [0.0] * len(b)
+    sat, max_state = body(memoryview(x), [float(c) for c in b], [float(c) for c in a],
+                          STEP, LEVELS, memoryview(dither), memoryview(inject), use_inject,
+                          state_limit, memoryview(y), memoryview(q), s)
+    return y, q, sat, max_state, s
+
+
+@settings(max_examples=100, deadline=None)
+@given(order=st.integers(0, 8), mode=st.sampled_from(["plain", "dither", "inject"]),
+       npts=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
+       amplitude=st.floats(0.0, 2.0),
+       state_limit=st.floats(-1.0, 3.0).map(lambda e: 10.0 ** e) | st.just(np.inf))
+def test_generated_and_generic_bodies_match_reference(order, mode, npts, seed, amplitude,
+                                                      state_limit):
+    rng = np.random.default_rng(seed)
+    b = rng.uniform(-1.0, 1.0, order)
+    a = rng.uniform(-1.0, 1.0, order)
+    x = amplitude * np.sin(2 * np.pi * rng.random() * np.arange(npts)) \
+        + 0.05 * rng.standard_normal(npts)
+    dither = (rng.random(npts) - rng.random(npts)) * STEP if mode == "dither" else np.zeros(0)
+    use_inject = mode == "inject"
+    inject = rng.uniform(-0.5, 0.5, npts) * STEP if use_inject else np.zeros(0)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_modulator(x, b, a, STEP, LEVELS, dither, inject, use_inject,
+                                   state_limit)
+    generated = _run_body(_kernels._python_body(order, mode), x, b, a, dither, inject,
+                          use_inject, state_limit)
+    generic = _run_body(_kernels._modulator_body, x, b, a, dither, inject, use_inject,
+                        state_limit)
+    for got in (generated, generic):
+        assert_array_equal(got[0], want[0])
+        assert_array_equal(got[1], want[1])
+        assert got[2:4] == want[2:4]
+    # both bodies leave the same final state behind
+    assert_array_equal(generated[4], generic[4])
