@@ -236,6 +236,10 @@ def cmd_simulate(cfg):
     if not math.isfinite(amp):
         raise ValueError(f"--amplitude-dbfs {cfg.amplitude_dbfs} gives an input amplitude "
                          "beyond the float range")
+    min_samples = ds._min_tracking_samples()
+    if cfg.samples < min_samples:
+        raise ValueError(f"--samples {cfg.samples} is too few: the tracking report needs "
+                         f"at least {min_samples}")
 
     import warnings
     with warnings.catch_warnings():

@@ -217,6 +217,7 @@ def ntf_quant_psd(ntf, cfg, grid):
 
 _ZERO_RADIUS_BETA = 0.6      # sets null depth: 1-rho = beta*theta_b/(2*pairs)
 _PEAK_GRID = 2048
+_BOUND_HOLD = 1e-9           # fraction of a box side that counts as sitting on its bound
 
 
 def _poles_from_params(x, order):
@@ -285,15 +286,23 @@ def _carved_zero_angles(target_sq, cfg):
     return 2.0 * np.pi * zero_freqs / fs
 
 
+def _butter_highpass_poles(order, fc, fs):
+    """z-plane poles of the order-n Butterworth high-pass with cutoff fc: the
+    analog prototype's left-half-plane poles, the low-to-high-pass map
+    s = w/p at the prewarped cutoff w = 2 fs tan(pi fc/fs), then the bilinear
+    map z = (2 fs + s)/(2 fs - s)."""
+    proto = np.exp(1j * np.pi * (2 * np.arange(order) + order + 1) / (2 * order))
+    s = 2.0 * fs * np.tan(np.pi * fc / fs) / proto
+    return (2.0 * fs + s) / (2.0 * fs - s)
+
+
 def _initial_pole_params(order, cfg):
     """Butterworth high-pass prototypes at a few cutoffs, as (r, phi) vectors."""
-    from scipy import signal
-
     fs = cfg.sample_rate
     starts = []
     for mult in (1.0, 1.8, 3.0):
         fc = min(cfg.band_edge * mult, 0.45 * fs)
-        _, poles, _ = signal.butter(order, fc, btype="highpass", output="zpk", fs=fs)
+        poles = _butter_highpass_poles(order, fc, fs)
         pairs = sorted((p for p in poles if p.imag > 1e-12), key=lambda p: abs(np.angle(p)))
         x = []
         for p in pairs:
@@ -303,6 +312,55 @@ def _initial_pole_params(order, cfg):
             x.append(min(max(reals[0] if reals else 0.5, 0.0), 0.955))
         starts.append(np.array(x))
     return starts
+
+
+def _bounded_lm(fun, jac, x0, lo, hi, ftol=1e-12, xtol=1e-12, max_nfev=500):
+    """Minimize 0.5*|fun(x)|^2 over the box lo < x < hi by Levenberg-Marquardt
+    (Moré, "The Levenberg-Marquardt algorithm: implementation and theory",
+    1978): Marquardt scaling by the running maximum of diag(J^T J) and
+    gain-ratio damping updates.
+
+    Iterates stay strictly inside the box: each coordinate of a step goes at
+    most 99.5% of the way to its bound, and a coordinate at a bound whose
+    gradient points out of the box is held.  (A pole angle clipped onto 0
+    would stall there, since d|NTF|/d phi = 0 at phi = 0.)  Stops when an
+    accepted step lowers the cost by at most ftol of it, when a step is
+    shorter than xtol relative to x, or after max_nfev evaluations of fun.
+    Returns (x, cost)."""
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    cost, nfev = 0.5 * float(f @ f), 1
+    mu, nu, scale = 1e-2, 2.0, np.zeros_like(x)
+    near = _BOUND_HOLD * (hi - lo)
+    new_point = True
+    while nfev < max_nfev:
+        if new_point:
+            jx = jac(x)
+            grad, normal = jx.T @ f, jx.T @ jx
+            scale = np.maximum(scale, np.diag(normal))
+            free = ~(((x - lo <= near) & (grad > 0)) | ((hi - x <= near) & (grad < 0)))
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(
+            normal[np.ix_(free, free)] + mu * np.diag(scale[free]), -grad[free])
+        step = np.clip(step, 0.995 * (lo - x), 0.995 * (hi - x))
+        f_new = fun(x + step)
+        nfev += 1
+        cost_new = 0.5 * float(f_new @ f_new)
+        predicted = -float(grad @ step) - 0.5 * float(np.sum((jx @ step) ** 2))
+        rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
+        short = np.linalg.norm(step) <= xtol * (xtol + np.linalg.norm(x))
+        if rho > 0:
+            done = short or cost - cost_new <= ftol * cost
+            x, f, cost = x + step, f_new, cost_new
+            mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
+            nu, new_point = 2.0, True
+        else:
+            done = short
+            mu *= nu
+            nu, new_point = 2.0 * nu, False
+        if done:
+            break
+    return x, cost
 
 
 def design_ntf(target_sq, cfg, rms_limit_db=6.0):
@@ -325,8 +383,6 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
         raise ValueError("target PSD must be strictly positive in-band")
     if target_sq.grid.f_hi > cfg.band_edge * (1.0 + 1e-9) or target_sq.grid.f_lo < -1e-12 * fs:
         raise ValueError("target grid must lie within the signal band [0, fs/(2*osr)]")
-
-    from scipy import optimize
 
     theta_b = np.pi / cfg.osr
     zero_angles0 = _carved_zero_angles(target_sq, cfg)
@@ -380,9 +436,7 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
             return rows
 
         x0 = np.clip(x0, lo + 1e-6, hi - 1e-6)
-        return optimize.least_squares(lambda x: at(x)["resid"][0], x0, jac=jac,
-                                      bounds=(lo, hi), method="trf",
-                                      xtol=1e-12, ftol=1e-12, max_nfev=500)
+        return _bounded_lm(lambda x: at(x)["resid"][0], jac, x0, lo, hi)
 
     # stage 1: poles only, zeros frozen at the carved placement
     zeros0, _ = _zeros_from_angles(zero_angles0, rho, odd)
@@ -392,9 +446,9 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
         try:
             sol = solve(lambda x: (*frozen, *_poles_from_params(x, order)),
                         x0, pole_lo, pole_hi)
-        except (ValueError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             continue
-        if stage1 is None or sol.cost < stage1.cost:
+        if stage1 is None or sol[1] < stage1[1]:
             stage1 = sol
     if stage1 is None:
         raise DesignInfeasibleError("pole optimization failed for all starting points",
@@ -408,18 +462,18 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
     lo = np.concatenate([np.zeros(n_zp), pole_lo])
     hi = np.concatenate([np.full(n_zp, theta_b), pole_hi])
     best = None
-    for x0 in (np.concatenate([zero_angles0, stage1.x]),
-               np.concatenate([(np.arange(n_zp) + 0.5) / max(n_zp, 1) * theta_b, stage1.x])):
+    for x0 in (np.concatenate([zero_angles0, stage1[0]]),
+               np.concatenate([(np.arange(n_zp) + 0.5) / max(n_zp, 1) * theta_b, stage1[0]])):
         try:
             sol = solve(joint, x0, lo, hi)
-        except (ValueError, np.linalg.LinAlgError):
+        except np.linalg.LinAlgError:
             continue
-        if best is None or sol.cost < best.cost:
+        if best is None or sol[1] < best[1]:
             best = sol
     if best is None:
         raise DesignInfeasibleError("joint zero/pole polish failed", order=order)
 
-    zeros, _, poles, _ = joint(best.x)
+    zeros, _, poles, _ = joint(best[0])
     ntf = RationalTf(zeros, poles, 1.0)
     peak = float(np.max(np.abs(ntf(z_dense))))
     fit = residual(zeros, poles)[0][:-1]
@@ -502,6 +556,21 @@ def simulate(h, cfg, input_samples, seed=0, injected_error=None):
     )
 
 
+def _filter_fft(b, a, x):
+    """The causal filter b/a (equal-length coefficients in descending powers
+    of z) applied to x from zero initial state, as a product of FFTs of
+    length m >= 2N.
+
+    Circular convolution at that length differs from the linear one only by
+    the impulse response's samples beyond N, of the order of r^N for the
+    largest pole radius r: below float64 rounding at r = 0.97, the largest
+    radius design_ntf allows, once N exceeds about 1300.
+    """
+    m = 1 << int(max(2 * x.size, a.size) - 1).bit_length()
+    response = np.fft.rfft(b, m) / np.fft.rfft(a, m)
+    return np.fft.irfft(np.fft.rfft(x, m) * response, m)[:x.size]
+
+
 def _bin_average(freqs, vals, grid):
     idx = np.searchsorted(grid.edges, freqs, side="right") - 1
     out = np.full(grid.num_bins, np.nan)
@@ -526,8 +595,25 @@ class TrackingReport:
     rms_db_error: float
 
 
+_TRACKING_SEGMENT = 4096
+
+
+def _tracking_skip(n, segment_len):
+    """Leading samples of an n-sample trace that measured_vs_predicted drops
+    as the loop's start-up transient."""
+    return min(segment_len, n // 4)
+
+
+def _min_tracking_samples(segment_len=_TRACKING_SEGMENT):
+    """Fewest trace samples that leave a full Welch segment after the skip."""
+    n = segment_len
+    while n - _tracking_skip(n, segment_len) < segment_len:
+        n += 1
+    return n
+
+
 def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None,
-                          segment_len=4096, overlap_fraction=0.5):
+                          segment_len=_TRACKING_SEGMENT, overlap_fraction=0.5):
     """Welch-estimate the trace's shaped quantization noise and compare it
     in-band against the analytic model.
 
@@ -538,8 +624,6 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None,
     analytic curve (e.g. to compare against a shaping target), and supplies
     the grid when inband_grid is not given.
     """
-    from scipy import signal
-
     if not trace.stability_flag:
         raise ValueError("trace is from an unstable run; comparison is meaningless")
     fs = cfg.sample_rate
@@ -548,9 +632,9 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None,
     length = max(num_ntf.size, den_ntf.size)
     num_ntf = _pad_left(num_ntf, length)
     den_ntf = _pad_left(den_ntf, length)
-    shaped = trace.output - signal.lfilter(den_ntf - num_ntf, den_ntf, trace.input)
+    shaped = trace.output - _filter_fft(den_ntf - num_ntf, den_ntf, trace.input)
 
-    skip = min(segment_len, shaped.size // 4)
+    skip = _tracking_skip(shaped.size, segment_len)
     est = estimate_psd(shaped[skip:], fs, segment_len, overlap_fraction)
     measured_fine = est.values / 2.0
 

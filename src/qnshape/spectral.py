@@ -182,9 +182,10 @@ def estimate_psd(samples, sample_rate, segment_len, overlap_fraction=0.5):
     """Welch-averaged one-sided PSD of a real sequence, on a midpoint grid
     covering [0, sample_rate/2].
 
-    Hann window; segments overlap by overlap_fraction.  The estimate is
-    Parseval-consistent: grid.delta * sum(values) approximates the mean
-    signal power.  scipy's bin-edge samples are averaged pairwise onto the
+    Periodic Hann window, no detrending; segments overlap by
+    overlap_fraction.  The estimate is Parseval-consistent: grid.delta *
+    sum(values) approximates the mean signal power.  The periodogram's
+    bin-edge samples (0, fs/L, ..., fs/2) are averaged pairwise onto the
     midpoint grid, which preserves the trapezoidal power integral.
     """
     x = np.asarray(samples, dtype=float)
@@ -198,18 +199,13 @@ def estimate_psd(samples, sample_rate, segment_len, overlap_fraction=0.5):
     if not 0.0 <= overlap_fraction < 1.0:
         raise ValueError("overlap_fraction must be in [0, 1)")
 
-    from scipy import signal
-
-    noverlap = int(overlap_fraction * segment_len)
-    _, pxx = signal.welch(
-        x,
-        fs=sample_rate,
-        window="hann",
-        nperseg=segment_len,
-        noverlap=noverlap,
-        detrend=False,
-        scaling="density",
-    )
+    hop = segment_len - int(overlap_fraction * segment_len)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
+    segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::hop]
+    spectra = np.fft.rfft(segments * window, axis=1)
+    pxx = np.mean(spectra.real ** 2 + spectra.imag ** 2, axis=0)
+    pxx /= sample_rate * float(np.sum(window ** 2))
+    pxx[1:-1] *= 2.0  # one-sided: fold the negative frequencies onto the positive ones
     vals = 0.5 * (pxx[:-1] + pxx[1:])
     grid = make_grid(0.0, sample_rate / 2.0, segment_len // 2)
     return Psd(grid, vals)

@@ -263,6 +263,32 @@ class TestSimulateCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("samples", [0, 5460])
+    def test_too_few_samples_rejected_before_design(self, tmp_path, capsys, monkeypatch,
+                                                    samples):
+        def no_design(*args, **kwargs):
+            raise AssertionError("design_ntf ran")
+
+        monkeypatch.setattr(q.deltasigma, "design_ntf", no_design)
+        out = tmp_path / "d"
+        rc = main(["simulate", "--channel", "wireless", "--bins", "32", "--fhi", "2e8",
+                   "--power", "7.5e14", "--samples", str(samples), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--samples" in err and "at least 5461" in err
+        assert not out.exists()
+
+    def test_fewest_samples_accepted(self, tmp_path):
+        # the tracking report drops min(4096, N//4) leading samples and then
+        # needs one 4096-sample Welch segment: N = 5461 is the least that works
+        out = tmp_path / "d"
+        rc = main(["simulate", "--channel", "wireless", "--bins", "32", "--fhi", "2e8",
+                   "--notches", "1", "--notch-depth", "12", "--notch-width", "6e7",
+                   "--power", "7.5e14", "--dither", "--samples", "5461", "--out", str(out)])
+        assert rc == 0
+        assert "measured_vs_target_rms_db" in read_summary(out / "summary.txt")
+
+
 class TestDeterminism:
     def test_shape_runs_identical(self, tmp_path):
         args = ["shape", "--channel", "wireless", "--bins", "64",
@@ -300,32 +326,51 @@ class TestDeterminism:
 
 
 class TestImports:
-    def test_shape_partition_capacity_never_load_scipy(self, tmp_path):
-        # a fresh process, because the test modules import scipy themselves
+    def test_no_command_needs_scipy(self, tmp_path):
+        # a fresh process, because the test modules import scipy themselves;
+        # a meta-path finder makes every scipy import fail there
         g = q.make_grid(0.0, 250.0, 16)
         q.write_channel_csv(q.ChannelSpec(q.Psd(g, np.ones(16)), q.Psd(g, np.full(16, 0.1))),
                             tmp_path / "ch.csv")
         q.write_psd_csv(q.Psd(g, np.full(16, 0.05)), tmp_path / "sq.csv")
         script = """
 import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy.signal
+except ImportError:
+    pass
+else:
+    raise AssertionError("the scipy blocker is not in effect")
 import qnshape
 from qnshape.cli import main
-loaded = {"import": "scipy" in sys.modules}
 for args in (["shape", "--channel", "wireline", "--bins", "64", "--power", "2e12", "--out", "s"],
              ["partition", "--channel", "wireline", "--bins", "64", "--power", "2e12",
               "--n", "4", "--out", "p"],
-             ["capacity", "--channel", "file:ch.csv", "--sq", "sq.csv", "--out", "c"]):
+             ["capacity", "--channel", "file:ch.csv", "--sq", "sq.csv", "--out", "c"],
+             ["simulate", "--channel", "wireless", "--bins", "32", "--fhi", "2e8",
+              "--notches", "1", "--notch-depth", "12", "--notch-width", "6e7",
+              "--power", "7.5e14", "--order", "4", "--dither", "--samples", "8192",
+              "--out", "m"]):
     assert main(args) == 0, args
-    loaded[args[0]] = "scipy" in sys.modules
-print(loaded)
+print("ok", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
         src = os.path.dirname(os.path.dirname(q.__file__))
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines()[-1] == str(
-            {"import": False, "shape": False, "partition": False, "capacity": False})
+        assert run.stdout.splitlines()[-1] == "ok []"
+        assert (tmp_path / "m" / "summary.txt").exists()
 
 
 class TestConfigFile:

@@ -1,16 +1,19 @@
 import contextlib
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy import signal as sps
 
 import qnshape as q
+import qnshape.deltasigma as ds
 from qnshape.deltasigma import DesignInfeasibleError
+
+from conftest import DSM_BUDGET
 
 UNIT_CIRCLE_64 = np.exp(1j * (np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False) + 0.013))
 
@@ -41,16 +44,16 @@ def random_stable_loop(rng, order):
 
 
 def captured_problems(monkeypatch, target, cfg):
-    """Every (fun, jac, lo, hi) that design_ntf hands to least_squares.  The
-    solver is skipped (each call returns its start point), so the design
-    itself may end infeasible."""
+    """Every (fun, jac, lo, hi) that design_ntf hands to its least-squares
+    solver.  The solver is skipped (each call returns its start point), so the
+    design itself may end infeasible."""
     problems = []
 
-    def spy(fun, x0, jac, bounds, **kwargs):
-        problems.append((fun, jac, *bounds))
-        return scipy.optimize.OptimizeResult(x=x0, cost=0.5 * float(np.sum(fun(x0) ** 2)))
+    def spy(fun, jac, x0, lo, hi, **kwargs):
+        problems.append((fun, jac, lo, hi))
+        return x0, 0.5 * float(np.sum(fun(x0) ** 2))
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", spy)
+    monkeypatch.setattr(ds, "_bounded_lm", spy)
     with contextlib.suppress(DesignInfeasibleError):
         q.design_ntf(target, cfg)
     return problems
@@ -404,8 +407,130 @@ class TestDesignNtf:
         with pytest.raises(ValueError, match="signal band"):
             q.design_ntf(target, cfg)
 
+    @pytest.mark.parametrize("order", range(1, 9))
+    def test_butterworth_starts_match_scipy(self, order):
+        for fs in (1.0, 4.8e9):
+            for fc in np.array([0.01, 0.0417, 0.2, 0.45]) * fs:
+                _, expect, _ = sps.butter(order, fc, btype="highpass", output="zpk", fs=fs)
+                poles = ds._butter_highpass_poles(order, fc, fs)
+                assert poles.size == expect.size == order
+                gap = np.abs(poles[:, None] - expect[None, :])
+                assert np.max(np.min(gap, axis=1)) < 1e-12
+                assert np.max(np.min(gap, axis=0)) < 1e-12
+
+
+def _lm_test_problem(a, b, x):
+    """f(x) = A (x + 0.3 sin 3x) - b, mildly nonlinear, and its Jacobian."""
+    return a @ (x + 0.3 * np.sin(3.0 * x)) - b, a * (1.0 + 0.9 * np.cos(3.0 * x))
+
+
+class TestBoundedLm:
+    def test_linear_box_problem_matches_active_set_enumeration(self):
+        rng = np.random.default_rng(41)
+        a = rng.standard_normal((12, 4))
+        b = a @ np.array([0.3, -0.4, 0.5, 0.2]) + 0.05 * rng.standard_normal(12)
+        lo, hi = np.zeros(4), np.ones(4)
+
+        # the convex problem's minimum is the cheapest feasible one among the
+        # least-squares solutions with each coordinate free or on a bound
+        best_x, best_cost = None, np.inf
+        for pattern in itertools.product((None, 0.0, 1.0), repeat=4):
+            free = np.array([p is None for p in pattern])
+            x = np.array([0.0 if p is None else p for p in pattern])
+            x[free] = np.linalg.lstsq(a[:, free], b - a[:, ~free] @ x[~free], rcond=None)[0]
+            cost = 0.5 * float(np.sum((a @ x - b) ** 2))
+            if np.all(x >= lo) and np.all(x <= hi) and cost < best_cost:
+                best_x, best_cost = x, cost
+        assert np.count_nonzero((best_x == lo) | (best_x == hi)) == 1
+
+        # the solver stays strictly inside: it holds the active coordinate
+        # within about 1e-9 of the box side from its bound
+        x, cost = ds._bounded_lm(lambda x: a @ x - b, lambda x: a, np.full(4, 0.5), lo, hi)
+        assert np.all((x > lo) & (x < hi))
+        assert_allclose(x, best_x, atol=1e-8)
+        assert cost == pytest.approx(best_cost, rel=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_iterates_stay_inside_and_cost_never_rises(self, n, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n + 3, n))
+        b = 3.0 * rng.standard_normal(n + 3)
+        lo = -rng.uniform(0.01, 2.0, n)
+        hi = rng.uniform(0.01, 2.0, n)
+        x0 = lo + (hi - lo) * rng.uniform(0.01, 0.99, n)
+        seen = []
+
+        def fun(x):
+            seen.append(x.copy())
+            return _lm_test_problem(a, b, x)[0]
+
+        x, cost = ds._bounded_lm(fun, lambda x: _lm_test_problem(a, b, x)[1], x0, lo, hi)
+        assert len(seen) <= 500
+        assert all(np.all((p > lo) & (p < hi)) for p in seen)
+        assert np.all((x > lo) & (x < hi))
+        assert cost <= 0.5 * float(np.sum(fun(x0) ** 2))
+        assert cost == pytest.approx(0.5 * float(np.sum(fun(x) ** 2)), rel=1e-12)
+
+
+# In-band RMS fit (dB) of design_ntf on a sweep of orders 1-8 at OSR 12 and
+# 16, as fitted by scipy's bounded trust-region least squares before the
+# numpy solver replaced it.  Every point was feasible.
+SWEEP_FIT_DB = {
+    ("dsm", 12): (5.577464, 2.514505, 2.328927, 0.914809, 0.323533, 0.319752, 0.306959, 0.376659),
+    ("dsm", 16): (5.172048, 2.512662, 2.113701, 0.927063, 0.339883, 0.318730, 0.316548, 0.387659),
+    ("wireless3", 12): (5.780354, 4.949013, 4.714243, 4.697571, 4.343388, 4.071165, 3.797466,
+                        3.350593),
+    ("wireless3", 16): (5.574925, 4.945148, 4.714249, 4.721617, 4.406828, 4.202298, 3.767660,
+                        3.488553),
+}
+SWEEP_POINTS = [(name, osr, order) for name, osr in SWEEP_FIT_DB for order in range(1, 9)]
+_sweep_fits = {}
+
+
+def sweep_fit_db(dsm_fixture, name, osr, order):
+    """In-band RMS fit (dB) of the design at one sweep point: the dsm
+    fixture's channel, or a 3-notch 20 dB wireless channel on the same grid,
+    both at the dsm budget.  Cached, since the sweep mean needs every point."""
+    key = (name, osr, order)
+    if key not in _sweep_fits:
+        ch = dsm_fixture[0]
+        if name == "wireless3":
+            ch = q.wireless_channel(ch.grid, num_notches=3, notch_depth=20.0,
+                                    noise_floor=-80.0, seed=5)
+        target = q.optimal_sq(ch.noise, q.PowerBudget(DSM_BUDGET)).sq_opt
+        cfg = q.ModulatorConfig(order=order, osr=float(osr),
+                                sample_rate=2.0 * osr * target.grid.f_hi,
+                                quantizer_levels=16, step=0.125, max_ntf_gain=1.5)
+        ntf = q.design_ntf(target, cfg)
+        err_db = 10.0 * np.log10(q.ntf_quant_psd(ntf, cfg, target.grid).values / target.values)
+        _sweep_fits[key] = float(np.sqrt(np.mean(err_db ** 2)))
+    return _sweep_fits[key]
+
+
+class TestDesignSweep:
+    @pytest.mark.parametrize("name, osr, order", SWEEP_POINTS)
+    def test_fit_no_worse_than_recorded(self, dsm_fixture, name, osr, order):
+        recorded = SWEEP_FIT_DB[name, osr][order - 1]
+        assert sweep_fit_db(dsm_fixture, name, osr, order) <= recorded + 0.01
+
+    def test_sweep_mean_no_worse_than_recorded(self, dsm_fixture):
+        fits = [sweep_fit_db(dsm_fixture, *point) for point in SWEEP_POINTS]
+        assert np.mean(fits) <= np.mean([SWEEP_FIT_DB[n, o][k - 1] for n, o, k in SWEEP_POINTS])
+
 
 class TestMeasuredVsPredicted:
+    @pytest.mark.parametrize("order", [4, 5, 6])
+    def test_stf_filter_matches_lfilter(self, dsm_fixture, order):
+        ch, budget, cfg = dsm_fixture
+        cfg = replace(cfg, order=order)
+        ntf = q.design_ntf(q.optimal_sq(ch.noise, budget).sq_opt, cfg)
+        num, den = ntf.coeffs()
+        x = np.random.default_rng(order).standard_normal(2 ** 14)
+        expect = sps.lfilter(den - num, den, x)
+        got = ds._filter_fft(den - num, den, x)
+        assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(expect))
+
     def test_unit_ntf_white_floor(self):
         # dithered open-loop quantizer: flat floor at step^2/(12 fs) within 1 dB
         cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy import signal as sps
 
 import qnshape as q
 
@@ -149,6 +150,17 @@ class TestEstimatePsd:
         expected = sigma2 / (fs / 2.0)
         assert np.mean(psd.values) == pytest.approx(expected, rel=0.10)
         assert psd.total_power() == pytest.approx(sigma2, rel=0.02)
+
+    @pytest.mark.parametrize("n, seg, overlap", [
+        (2 ** 15, 4096, 0.5), (10000, 256, 0.0), (5000, 64, 0.75), (4096, 4096, 0.5),
+        (999, 2, 0.3), (3001, 500, 0.25)])
+    def test_matches_scipy_welch(self, n, seg, overlap):
+        x = np.random.default_rng(n).standard_normal(n) + 0.3
+        fs = 3.7e9
+        _, pxx = sps.welch(x, fs=fs, window="hann", nperseg=seg, noverlap=int(overlap * seg),
+                           detrend=False, scaling="density")
+        psd = q.estimate_psd(x, fs, segment_len=seg, overlap_fraction=overlap)
+        assert_allclose(psd.values, 0.5 * (pxx[:-1] + pxx[1:]), rtol=1e-12, atol=0.0)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="too few samples"):
