@@ -9,10 +9,10 @@ files.
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,90 +23,63 @@ from . import shaping as sh
 from . import spectral as sp
 from .spectral import _fmt
 
-@dataclass
-class RunConfig:
-    """Resolved options for one CLI run."""
-
-    command: str
-    channel: str = "wireline"
-    bins: int = 256
-    flo: float = 0.0
-    fhi: float = 1e8
-    power: float | None = None
-    out: str | None = None
-    seed: int = 0
-    noise_floor: float = -90.0
-    noise_tilt: float = 50.0
-    notches: int = 3
-    notch_depth: float = 30.0
-    notch_width: float | None = None
-    order: int = 4
-    osr: float = 12.0
-    levels: int = 16
-    step: float = 0.125
-    max_ntf_gain: float = 1.5
-    dither: bool = False
-    samples: int = 262144
-    fin_ratio: float = 0.37
-    amplitude_dbfs: float = -6.0
-    n: int = 4
-    mode: str = "equal-power"
-    sq: str | None = None
-    save_trace: bool = False
-
-    def validate(self):
-        if self.channel.startswith("file:"):
-            path = self.channel[5:]
-            if not os.path.isfile(path):
-                raise ValueError(f"channel file not found: {path}")
-        elif self.channel not in ("wireline", "wireless"):
-            raise ValueError(f"unknown channel {self.channel!r}")
-        if self.sq is not None and not os.path.isfile(self.sq):
-            raise ValueError(f"quantization PSD file not found: {self.sq}")
-        # the directory itself is made only once a command has its results
-        if self.out is not None and os.path.exists(self.out) and not (
-                os.path.isdir(self.out) and os.access(self.out, os.W_OK)):
-            raise ValueError(f"output directory not writable: {self.out}")
+# Flags that only feed a library parameter, as {dest: parameter}.  They
+# default to argparse.SUPPRESS, so a flag that neither the command line nor
+# the config file sets leaves the library's own default in force.
+_WIRELINE_PARAMS = {"noise_floor": "noise_floor", "noise_tilt": "noise_tilt"}
+_WIRELESS_PARAMS = {"notches": "num_notches", "notch_depth": "notch_depth",
+                    "notch_width": "notch_width", "noise_floor": "noise_floor"}
+_MODULATOR_PARAMS = {"order": "order", "osr": "osr", "levels": "quantizer_levels",
+                     "step": "step", "max_ntf_gain": "max_ntf_gain", "dither": "dither"}
 
 
-def _load_channel(cfg):
-    if cfg.channel.startswith("file:"):
-        return sp.read_channel_csv(cfg.channel[5:])
-    grid = sp.make_grid(cfg.flo, cfg.fhi, cfg.bins)
-    if cfg.channel == "wireline":
-        return sp.wireline_channel(grid, noise_floor=cfg.noise_floor,
-                                   noise_tilt=cfg.noise_tilt)
-    return sp.wireless_channel(grid, num_notches=cfg.notches,
-                               notch_depth=cfg.notch_depth,
-                               notch_width=cfg.notch_width,
-                               noise_floor=cfg.noise_floor, seed=cfg.seed)
+def _set_params(args, params):
+    """The library keyword arguments whose flags were set."""
+    given = vars(args)
+    return {param: given[dest] for dest, param in params.items() if dest in given}
 
 
-def _need_power(cfg):
-    if cfg.power is None or cfg.power <= 0:
+def _validate(args):
+    if args.channel.startswith("file:"):
+        path = args.channel[5:]
+        if not os.path.isfile(path):
+            raise ValueError(f"channel file not found: {path}")
+    elif args.channel not in ("wireline", "wireless"):
+        raise ValueError(f"unknown channel {args.channel!r}")
+    sq = getattr(args, "sq", None)
+    if sq is not None and not os.path.isfile(sq):
+        raise ValueError(f"quantization PSD file not found: {sq}")
+    # the directory itself is made only once a command has its results
+    if args.out is not None and os.path.exists(args.out) and not (
+            os.path.isdir(args.out) and os.access(args.out, os.W_OK)):
+        raise ValueError(f"output directory not writable: {args.out}")
+
+
+def _load_channel(args):
+    if args.channel.startswith("file:"):
+        return sp.read_channel_csv(args.channel[5:])
+    grid = sp.make_grid(args.flo, args.fhi, args.bins)
+    if args.channel == "wireline":
+        return sp.wireline_channel(grid, **_set_params(args, _WIRELINE_PARAMS))
+    return sp.wireless_channel(grid, seed=args.seed, **_set_params(args, _WIRELESS_PARAMS))
+
+
+def _need_power(args):
+    if args.power is None or args.power <= 0:
         raise ValueError("a positive --power budget is required")
-    return cap.PowerBudget(cfg.power)
+    return cap.PowerBudget(args.power)
 
 
-def _need_out(cfg):
-    if cfg.out is None:
+def _need_out(args):
+    if args.out is None:
         raise ValueError("--out DIR is required for this command")
-    return cfg.out
+    return args.out
 
 
-def _write_curves_csv(path, header, columns):
-    cols = [np.asarray(c) for c in columns]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_fmt(v) if isinstance(v, (float, np.floating)) else str(v)
-                              for v in row) + "\n")
-
-
-def cmd_shape(cfg):
-    out = _need_out(cfg)
-    ch = _load_channel(cfg)
-    budget = _need_power(cfg)
+def cmd_shape(args):
+    out = _need_out(args)
+    ch = _load_channel(args)
+    budget = _need_power(args)
 
     import warnings
     with warnings.catch_warnings():
@@ -134,7 +107,7 @@ def cmd_shape(cfg):
         },
         os.path.join(out, "summary.txt"),
     )
-    _write_curves_csv(
+    sp._write_csv(
         os.path.join(out, "plotdata.csv"),
         "frequency_hz,signal_db,noise_db,sq_analytic_db,sq_numeric_db",
         [ch.grid.centers, sp.to_db(ch.signal.values), sp.to_db(ch.noise.values),
@@ -143,12 +116,12 @@ def cmd_shape(cfg):
     return 0
 
 
-def cmd_capacity(cfg):
-    ch = _load_channel(cfg)
+def cmd_capacity(args):
+    ch = _load_channel(args)
     c_before = cap.capacity_before(ch)
     rows = [("capacity_before_bits_per_s", c_before)]
-    if cfg.sq is not None:
-        sq = sp.read_psd_csv(cfg.sq)
+    if args.sq is not None:
+        sq = sp.read_psd_csv(args.sq)
         c_after = cap.capacity_after(ch, sq)
         loss_approx = cap.info_loss(ch.noise, sq)
         rows += [
@@ -159,34 +132,31 @@ def cmd_capacity(cfg):
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {_fmt(value)}")
-    if cfg.out is not None:
-        os.makedirs(cfg.out, exist_ok=True)
-        sh.write_summary(dict(rows), os.path.join(cfg.out, "summary.txt"))
+    if args.out is not None:
+        os.makedirs(args.out, exist_ok=True)
+        sh.write_summary(dict(rows), os.path.join(args.out, "summary.txt"))
     return 0
 
 
-def cmd_partition(cfg):
-    out = _need_out(cfg)
-    ch = _load_channel(cfg)
-    budget = _need_power(cfg)
+def cmd_partition(args):
+    out = _need_out(args)
+    ch = _load_channel(args)
+    budget = _need_power(args)
 
-    if cfg.mode == "equal-power":
-        plan = mc.partition_equal_power(ch.noise, budget, cfg.n)
+    if args.mode == "equal-power":
+        plan = mc.partition_equal_power(ch.noise, budget, args.n)
     else:
-        plan = mc.partition_constrained(ch.noise, budget, cfg.n, mode=cfg.mode)
+        plan = mc.partition_constrained(ch.noise, budget, args.n, mode=args.mode)
     results = mc.per_band_shaping(ch.noise, plan)
-
-    os.makedirs(out, exist_ok=True)
-    mc.write_plan_csv(plan, os.path.join(out, "plan.csv"))
-    with open(os.path.join(out, "shaping.csv"), "w", encoding="utf-8") as fh:
-        fh.write("frequency_hz,sq_opt,bits\n")
-        for res in results:
-            for f, s, b in zip(res.sq_opt.grid.centers, res.sq_opt.values,
-                               res.bit_profile.bits):
-                fh.write(f"{_fmt(f)},{_fmt(s)},{_fmt(b)}\n")
 
     freqs = np.concatenate([r.sq_opt.grid.centers for r in results])
     sq_all = np.concatenate([r.sq_opt.values for r in results])
+    bits = np.concatenate([r.bit_profile.bits for r in results])
+    os.makedirs(out, exist_ok=True)
+    mc.write_plan_csv(plan, os.path.join(out, "plan.csv"))
+    sp._write_csv(os.path.join(out, "shaping.csv"), "frequency_hz,sq_opt,bits",
+                  [freqs, sq_all, bits])
+
     marker = np.zeros(freqs.size, dtype=int)
     pos = 0
     for r in results:
@@ -194,13 +164,13 @@ def cmd_partition(cfg):
         pos += r.sq_opt.grid.num_bins
     sig_db = np.interp(freqs, ch.grid.centers, sp.to_db(ch.signal.values))
     noi_db = np.interp(freqs, ch.grid.centers, sp.to_db(ch.noise.values))
-    _write_curves_csv(
+    sp._write_csv(
         os.path.join(out, "plotdata.csv"),
         "frequency_hz,signal_db,noise_db,sq_db,band_edge_marker",
         [freqs, sig_db, noi_db, sp.to_db(sq_all), marker],
     )
     entries = {
-        "mode": cfg.mode,
+        "mode": args.mode,
         "num_bands": plan.num_bands,
         "total_power": plan.total_power,
         "info_loss_total": float(sum(r.info_loss for r in results)),
@@ -212,33 +182,30 @@ def cmd_partition(cfg):
     return 0
 
 
-def cmd_simulate(cfg):
-    out = _need_out(cfg)
-    ch = _load_channel(cfg)
-    budget = _need_power(cfg)
+def cmd_simulate(args):
+    out = _need_out(args)
+    ch = _load_channel(args)
+    budget = _need_power(args)
     grid = ch.grid
     if abs(grid.f_lo) > 1e-12 * grid.width:
         raise ValueError("simulate requires a low-pass band starting at 0 Hz")
 
-    fs = 2.0 * cfg.osr * grid.f_hi
-    modcfg = ds.ModulatorConfig(
-        order=cfg.order, osr=cfg.osr, sample_rate=fs,
-        quantizer_levels=cfg.levels, step=cfg.step,
-        max_ntf_gain=cfg.max_ntf_gain, dither=cfg.dither,
-    )
-    for flag, value in (("--fin-ratio", cfg.fin_ratio), ("--amplitude-dbfs", cfg.amplitude_dbfs)):
+    modcfg = ds.ModulatorConfig(**_set_params(args, _MODULATOR_PARAMS))
+    fs = 2.0 * modcfg.osr * grid.f_hi
+    modcfg = dataclasses.replace(modcfg, sample_rate=fs)
+    for flag, value in (("--fin-ratio", args.fin_ratio), ("--amplitude-dbfs", args.amplitude_dbfs)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
     try:
-        amp = modcfg.full_scale * 10.0 ** (cfg.amplitude_dbfs / 20.0)
+        amp = modcfg.full_scale * 10.0 ** (args.amplitude_dbfs / 20.0)
     except OverflowError:
         amp = math.inf
     if not math.isfinite(amp):
-        raise ValueError(f"--amplitude-dbfs {cfg.amplitude_dbfs} gives an input amplitude "
+        raise ValueError(f"--amplitude-dbfs {args.amplitude_dbfs} gives an input amplitude "
                          "beyond the float range")
     min_samples = ds._min_tracking_samples()
-    if cfg.samples < min_samples:
-        raise ValueError(f"--samples {cfg.samples} is too few: the tracking report needs "
+    if args.samples < min_samples:
+        raise ValueError(f"--samples {args.samples} is too few: the tracking report needs "
                          f"at least {min_samples}")
 
     import warnings
@@ -248,11 +215,11 @@ def cmd_simulate(cfg):
     ntf = ds.design_ntf(target, modcfg)
     loop = ds.loop_from_ntf(ntf)
 
-    npts = cfg.samples
+    npts = args.samples
     t = np.arange(npts) / fs
-    f_in = cfg.fin_ratio * grid.f_hi
+    f_in = args.fin_ratio * grid.f_hi
     x = amp * np.sin(2.0 * np.pi * f_in * t)
-    trace = ds.simulate(loop, modcfg, x, seed=cfg.seed)
+    trace = ds.simulate(loop, modcfg, x, seed=args.seed)
 
     design_fit = ds.ntf_quant_psd(ntf, modcfg, target.grid)
     design_rms_db = float(np.sqrt(np.mean(
@@ -261,18 +228,18 @@ def cmd_simulate(cfg):
     entries = {
         "sample_rate_hz": fs,
         "input_frequency_hz": f_in,
-        "input_amplitude_dbfs": cfg.amplitude_dbfs,
+        "input_amplitude_dbfs": args.amplitude_dbfs,
         "stable": trace.stability_flag,
         "saturation_count": trace.saturation_count,
         "design_rms_db": design_rms_db,
     }
     if trace.stability_flag:
-        rep_pred = ds.measured_vs_predicted(trace, ntf, modcfg, inband_grid=target.grid)
-        rep_target = ds.measured_vs_predicted(trace, ntf, modcfg, reference=target)
-        entries["measured_vs_predicted_rms_db"] = rep_pred.rms_db_error
-        entries["measured_vs_target_rms_db"] = rep_target.rms_db_error
-        measured_db = sp.to_db(rep_target.measured)
-        predicted_db = sp.to_db(rep_pred.predicted)
+        report = ds.measured_vs_predicted(trace, ntf, modcfg, inband_grid=target.grid)
+        target_err_db = 10.0 * np.log10(report.measured / target.values)
+        entries["measured_vs_predicted_rms_db"] = report.rms_db_error
+        entries["measured_vs_target_rms_db"] = float(np.sqrt(np.mean(target_err_db ** 2)))
+        measured_db = sp.to_db(report.measured)
+        predicted_db = sp.to_db(report.predicted)
     else:
         measured_db = np.full(target.grid.num_bins, sp.DB_FLOOR)
         predicted_db = sp.to_db(design_fit.values)
@@ -280,12 +247,12 @@ def cmd_simulate(cfg):
     os.makedirs(out, exist_ok=True)
     ds.write_tf(ntf, os.path.join(out, "ntf.txt"))
     sh.write_summary(entries, os.path.join(out, "summary.txt"))
-    _write_curves_csv(
+    sp._write_csv(
         os.path.join(out, "plotdata.csv"),
         "frequency_hz,target_db,predicted_db,measured_db",
         [target.grid.centers, sp.to_db(target.values), predicted_db, measured_db],
     )
-    if cfg.save_trace:
+    if args.save_trace:
         ds.write_trace_csv(trace, os.path.join(out, "trace.csv"))
     return 0
 
@@ -308,11 +275,11 @@ def _add_common(p):
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--noise-floor", type=float, default=None, dest="noise_floor")
-    p.add_argument("--noise-tilt", type=float, default=None, dest="noise_tilt")
-    p.add_argument("--notches", type=int, default=None)
-    p.add_argument("--notch-depth", type=float, default=None, dest="notch_depth")
-    p.add_argument("--notch-width", type=float, default=None, dest="notch_width")
+    p.add_argument("--noise-floor", type=float, default=argparse.SUPPRESS, dest="noise_floor")
+    p.add_argument("--noise-tilt", type=float, default=argparse.SUPPRESS, dest="noise_tilt")
+    p.add_argument("--notches", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--notch-depth", type=float, default=argparse.SUPPRESS, dest="notch_depth")
+    p.add_argument("--notch-width", type=float, default=argparse.SUPPRESS, dest="notch_width")
 
 
 def build_parser():
@@ -324,12 +291,13 @@ def build_parser():
 
     p_sim = sub.add_parser("simulate", help="design NTF for the target and simulate the loop")
     _add_common(p_sim)
-    p_sim.add_argument("--order", type=int, default=4)
-    p_sim.add_argument("--osr", type=float, default=12.0)
-    p_sim.add_argument("--levels", type=int, default=16)
-    p_sim.add_argument("--step", type=float, default=0.125)
-    p_sim.add_argument("--max-ntf-gain", type=float, default=1.5, dest="max_ntf_gain")
-    p_sim.add_argument("--dither", action="store_true")
+    p_sim.add_argument("--order", type=int, default=argparse.SUPPRESS)
+    p_sim.add_argument("--osr", type=float, default=argparse.SUPPRESS)
+    p_sim.add_argument("--levels", type=int, default=argparse.SUPPRESS)
+    p_sim.add_argument("--step", type=float, default=argparse.SUPPRESS)
+    p_sim.add_argument("--max-ntf-gain", type=float, default=argparse.SUPPRESS,
+                       dest="max_ntf_gain")
+    p_sim.add_argument("--dither", action="store_true", default=argparse.SUPPRESS)
     p_sim.add_argument("--samples", type=int, default=262144)
     p_sim.add_argument("--fin-ratio", type=float, default=0.37, dest="fin_ratio",
                        help="input tone frequency as a fraction of the band edge")
@@ -347,6 +315,9 @@ def build_parser():
     p_cap.add_argument("--sq", default=None, help="quantization PSD CSV")
 
     return parser
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 def _apply_config_file(parser, args):
@@ -373,28 +344,15 @@ def _apply_config_file(parser, args):
             value = value.strip()
             if key not in options:
                 raise ValueError(f"unknown config key {key!r}")
+            # flags such as --dither take no value on the command line
+            if options[key].nargs == 0:
+                if value.lower() not in _BOOLEANS:
+                    raise ValueError(f"config key {key!r} needs a boolean "
+                                     f"(1/0, true/false, yes/no), got {value!r}")
+                value = _BOOLEANS[value.lower()]
             if key in own:
-                # flags such as --dither take no value on the command line
-                is_flag = options[key].nargs == 0
-                defaults[key] = value.lower() in ("1", "true", "yes") if is_flag else value
+                defaults[key] = value
     subparsers[args.command].set_defaults(**defaults)
-
-
-def _run_config_from_args(args):
-    names = {f.name for f in fields(RunConfig)}
-    kwargs = {}
-    for name in names:
-        if name == "command":
-            continue
-        if hasattr(args, name) and getattr(args, name) is not None:
-            kwargs[name] = getattr(args, name)
-    cfg = RunConfig(command=args.command, **kwargs)
-    # generator defaults differ per channel family
-    if cfg.channel == "wireless":
-        if getattr(args, "noise_floor", None) is None:
-            cfg.noise_floor = -80.0
-    cfg.validate()
-    return cfg
 
 
 def main(argv=None):
@@ -405,8 +363,8 @@ def main(argv=None):
         if args.config is not None:
             _apply_config_file(parser, args)
             args = parser.parse_args(argv)
-        cfg = _run_config_from_args(args)
-        return _COMMANDS[cfg.command](cfg)
+        _validate(args)
+        return _COMMANDS[args.command](args)
     except (ValueError, ds.DesignInfeasibleError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import modulator_core
-from .spectral import FrequencyGrid, Psd, estimate_psd, make_grid
+from .spectral import FrequencyGrid, Psd, _write_csv, estimate_psd, make_grid
 
 _COEF_TOL = 1e-12
 
@@ -701,10 +701,6 @@ def read_tf(path):
 
 
 def write_trace_csv(trace, path):
-    from .spectral import _fmt
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("n,input,output,qerror\n")
-        for n, (xi, yi, qi) in enumerate(zip(trace.input, trace.output,
-                                             trace.quantizer_error)):
-            fh.write(f"{n},{_fmt(xi)},{_fmt(yi)},{_fmt(qi)}\n")
+    _write_csv(path, "n,input,output,qerror",
+               [np.arange(trace.input.size), trace.input, trace.output,
+                trace.quantizer_error])

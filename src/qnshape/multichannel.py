@@ -14,7 +14,7 @@ import numpy as np
 
 from .capacity import PowerBudget, as_budget
 from .shaping import optimal_sq
-from .spectral import FrequencyGrid, Psd
+from .spectral import FrequencyGrid, Psd, _write_csv
 
 _SQRT12 = np.sqrt(12.0)
 
@@ -242,12 +242,6 @@ def partition_constrained(noise, budget_total, n, mode="equal-bandwidth"):
 
 
 def write_plan_csv(plan, path):
-    from .spectral import _fmt
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("band_index,f_lo_hz,f_hi_hz,power,bandwidth_hz\n")
-        for i in range(plan.num_bands):
-            fh.write(
-                f"{i},{_fmt(plan.edges[i])},{_fmt(plan.edges[i + 1])},"
-                f"{_fmt(plan.per_band_power[i])},{_fmt(plan.per_band_bandwidth[i])}\n"
-            )
+    _write_csv(path, "band_index,f_lo_hz,f_hi_hz,power,bandwidth_hz",
+               [np.arange(plan.num_bands), plan.edges[:-1], plan.edges[1:],
+                plan.per_band_power, plan.per_band_bandwidth])

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import capacity
 from .capacity import BitProfile, PowerBudget, as_budget, bits_from_sq
-from .spectral import Psd, require_same_grid
+from .spectral import Psd, _fmt, _write_csv, require_same_grid
 
 _SQRT12 = np.sqrt(12.0)
 
@@ -218,19 +218,12 @@ def verify_shaping(ch, sq, budget):
 # serialization
 
 def write_shaping_csv(result, path):
-    from .spectral import _fmt
-
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frequency_hz,sq_opt,bits\n")
-        for f, s, b in zip(result.sq_opt.grid.centers, result.sq_opt.values,
-                           result.bit_profile.bits):
-            fh.write(f"{_fmt(f)},{_fmt(s)},{_fmt(b)}\n")
+    _write_csv(path, "frequency_hz,sq_opt,bits",
+               [result.sq_opt.grid.centers, result.sq_opt.values, result.bit_profile.bits])
 
 
 def write_summary(entries, path):
     """Flat key=value sidecar; values formatted deterministically."""
-    from .spectral import _fmt
-
     with open(path, "w", encoding="utf-8") as fh:
         for key, val in entries.items():
             if isinstance(val, bool):

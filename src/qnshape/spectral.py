@@ -218,11 +218,28 @@ def _fmt(x):
     return f"{x:.17g}"
 
 
-def write_psd_csv(psd, path):
+_CSV_BLOCK_ROWS = 4096  # rows converted to Python numbers and formatted per write
+
+
+def _write_csv(path, header, columns):
+    """Write equal-length columns as CSV rows under a header line.
+
+    Integer columns are written with str and all others as _fmt does, so
+    floats round-trip exactly.  Rows are formatted a block at a time, which
+    keeps memory flat for long traces.
+    """
+    cols = [np.asarray(c) for c in columns]
+    row = ",".join("{}" if np.issubdtype(c.dtype, np.integer) else "{:.17g}"
+                   for c in cols) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frequency_hz,psd\n")
-        for f, v in zip(psd.grid.centers, psd.values):
-            fh.write(f"{_fmt(f)},{_fmt(v)}\n")
+        fh.write(header + "\n")
+        for start in range(0, cols[0].size, _CSV_BLOCK_ROWS):
+            block = [c[start:start + _CSV_BLOCK_ROWS].tolist() for c in cols]
+            fh.write("".join(row.format(*vals) for vals in zip(*block)))
+
+
+def write_psd_csv(psd, path):
+    _write_csv(path, "frequency_hz,psd", [psd.grid.centers, psd.values])
 
 
 def _grid_from_centers(centers):
@@ -257,10 +274,8 @@ def read_psd_csv(path):
 
 
 def write_channel_csv(ch, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("frequency_hz,signal_psd,noise_psd\n")
-        for f, s, v in zip(ch.grid.centers, ch.signal.values, ch.noise.values):
-            fh.write(f"{_fmt(f)},{_fmt(s)},{_fmt(v)}\n")
+    _write_csv(path, "frequency_hz,signal_psd,noise_psd",
+               [ch.grid.centers, ch.signal.values, ch.noise.values])
 
 
 def read_channel_csv(path):

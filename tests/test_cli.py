@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qnshape as q
+from qnshape import cli
 from qnshape.cli import main
 
 from conftest import WIRELINE_BUDGET
@@ -21,6 +22,11 @@ def read_summary(path):
 
 def dir_bytes(path):
     return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+SMALL_SIMULATE = ["simulate", "--channel", "wireless", "--bins", "32", "--fhi", "2e8",
+                  "--notches", "1", "--notch-depth", "12", "--notch-width", "6e7",
+                  "--power", "7.5e14", "--dither", "--samples", "8192", "--seed", "3"]
 
 
 class TestShapeCommand:
@@ -288,6 +294,23 @@ class TestSimulateCommand:
         assert rc == 0
         assert "measured_vs_target_rms_db" in read_summary(out / "summary.txt")
 
+    def test_tracking_report_computed_once(self, tmp_path, monkeypatch):
+        # both tracking figures come from one STF filter and one Welch estimate
+        calls = []
+        welch = q.deltasigma.estimate_psd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return welch(*args, **kwargs)
+
+        monkeypatch.setattr(q.deltasigma, "estimate_psd", counting)
+        out = tmp_path / "d"
+        assert main(SMALL_SIMULATE + ["--out", str(out)]) == 0
+        summary = read_summary(out / "summary.txt")
+        assert summary["stable"] == "true"
+        assert {"measured_vs_predicted_rms_db", "measured_vs_target_rms_db"} <= set(summary)
+        assert len(calls) == 1
+
 
 class TestDeterminism:
     def test_shape_runs_identical(self, tmp_path):
@@ -323,6 +346,126 @@ class TestDeterminism:
         assert main(args + ["--out", str(out_a)]) == 0
         assert main(args + ["--out", str(out_b)]) == 0
         assert dir_bytes(out_a) == dir_bytes(out_b)
+
+
+class TestLibraryDefaults:
+    """An unset generator or modulator flag takes the library's default, so
+    spelling that default out on the command line changes no output byte."""
+
+    @pytest.mark.parametrize("base, spelled_out", [
+        (["shape", "--channel", "wireless", "--bins", "64", "--fhi", "2e8",
+          "--power", "5e12", "--seed", "7"],
+         ["--noise-floor", "-80", "--notches", "3", "--notch-depth", "30"]),
+        (["shape", "--channel", "wireline", "--bins", "64", "--power", "2e12"],
+         ["--noise-floor", "-90", "--noise-tilt", "50"]),
+        (SMALL_SIMULATE,
+         ["--order", "4", "--osr", "12", "--levels", "16", "--step", "0.125",
+          "--max-ntf-gain", "1.5"]),
+    ], ids=["wireless", "wireline", "modulator"])
+    def test_spelled_out_defaults_change_nothing(self, tmp_path, base, spelled_out):
+        assert main(base + ["--out", str(tmp_path / "unset")]) == 0
+        assert main(base + spelled_out + ["--out", str(tmp_path / "set")]) == 0
+        assert dir_bytes(tmp_path / "unset") == dir_bytes(tmp_path / "set")
+
+
+_COMMON_OPTIONS = {
+    (("-h", "--help"), "help"), (("--channel",), "channel"), (("--bins",), "bins"),
+    (("--flo",), "flo"), (("--fhi",), "fhi"), (("--power",), "power"),
+    (("--out",), "out"), (("--seed",), "seed"), (("--config",), "config"),
+    (("--noise-floor",), "noise_floor"), (("--noise-tilt",), "noise_tilt"),
+    (("--notches",), "notches"), (("--notch-depth",), "notch_depth"),
+    (("--notch-width",), "notch_width"),
+}
+CLI_SURFACE = {
+    "shape": _COMMON_OPTIONS,
+    "simulate": _COMMON_OPTIONS | {
+        (("--order",), "order"), (("--osr",), "osr"), (("--levels",), "levels"),
+        (("--step",), "step"), (("--max-ntf-gain",), "max_ntf_gain"),
+        (("--dither",), "dither"), (("--samples",), "samples"),
+        (("--fin-ratio",), "fin_ratio"), (("--amplitude-dbfs",), "amplitude_dbfs"),
+        (("--save-trace",), "save_trace"),
+    },
+    "partition": _COMMON_OPTIONS | {(("--n",), "n"), (("--mode",), "mode")},
+    "capacity": _COMMON_OPTIONS | {(("--sq",), "sq")},
+}
+
+
+def test_cli_surface_is_unchanged():
+    # every flag name and dest (a dest is also the config-file key)
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    surface = {name: {(tuple(a.option_strings), a.dest) for a in sub._actions}
+               for name, sub in subparsers.items()}
+    assert surface == CLI_SURFACE
+
+
+class TestCsvBytes:
+    """Literal file text of every CSV writer: floats as %.17g, integers as str."""
+
+    def test_psd_and_channel(self, tmp_path):
+        g = q.make_grid(0.0, 0.2, 2)
+        q.write_psd_csv(q.Psd(g, [1 / 3, -0.0]), tmp_path / "psd.csv")
+        q.write_channel_csv(q.ChannelSpec(q.Psd(g, [0.1, 0.0]), q.Psd(g, [1 / 3, 1e-300])),
+                            tmp_path / "ch.csv")
+        assert (tmp_path / "psd.csv").read_text() == (
+            "frequency_hz,psd\n"
+            "0.050000000000000003,0.33333333333333331\n"
+            "0.15000000000000002,-0\n")
+        assert (tmp_path / "ch.csv").read_text() == (
+            "frequency_hz,signal_psd,noise_psd\n"
+            "0.050000000000000003,0.10000000000000001,0.33333333333333331\n"
+            "0.15000000000000002,0,1e-300\n")
+
+    def test_shaping(self, tmp_path):
+        g = q.make_grid(0.0, 0.2, 2)
+        result = q.ShapingResult(q.Psd(g, [1 / 3, 1e-300]), q.BitProfile(g, [-0.0, 0.1]),
+                                 q.PowerBudget(1.0), 0.0, 1.0)
+        q.write_shaping_csv(result, tmp_path / "shaping.csv")
+        assert (tmp_path / "shaping.csv").read_text() == (
+            "frequency_hz,sq_opt,bits\n"
+            "0.050000000000000003,0.33333333333333331,-0\n"
+            "0.15000000000000002,1e-300,0.10000000000000001\n")
+
+    def test_plan(self, tmp_path):
+        plan = q.PartitionPlan(edges=[0.0, 0.1, 1 / 3], per_band_power=[1 / 3, 1e-300],
+                               per_band_bandwidth=[0.1, 1 / 3 - 0.1])
+        q.write_plan_csv(plan, tmp_path / "plan.csv")
+        assert (tmp_path / "plan.csv").read_text() == (
+            "band_index,f_lo_hz,f_hi_hz,power,bandwidth_hz\n"
+            "0,0,0.10000000000000001,0.33333333333333331,0.10000000000000001\n"
+            "1,0.10000000000000001,0.33333333333333331,1e-300,0.23333333333333331\n")
+
+    def test_trace(self, tmp_path):
+        trace = q.SimulationTrace(np.array([0.1, -0.0, 1 / 3]), np.array([1e-300, 0.1, -0.0]),
+                                  np.array([1 / 3, 0.0, -1e-300]), 0, True)
+        q.write_trace_csv(trace, tmp_path / "trace.csv")
+        assert (tmp_path / "trace.csv").read_text() == (
+            "n,input,output,qerror\n"
+            "0,0.10000000000000001,1e-300,0.33333333333333331\n"
+            "1,-0,0.10000000000000001,0\n"
+            "2,0.33333333333333331,-0,-1e-300\n")
+
+    def test_partition_shaping(self, tmp_path, monkeypatch):
+        # the command concatenates the per-band results into one shaping.csv
+        g = q.make_grid(0.0, 0.4, 4)
+        q.write_channel_csv(q.ChannelSpec(q.Psd(g, np.ones(4)), q.Psd(g, np.ones(4))),
+                            tmp_path / "ch.csv")
+        lo, hi = q.make_grid(0.0, 0.2, 2), q.make_grid(0.2, 0.4, 1)
+        results = [
+            q.ShapingResult(q.Psd(lo, [0.1, 1 / 3]), q.BitProfile(lo, [1e-300, -0.0]),
+                            q.PowerBudget(1.0), 0.0, 1.0),
+            q.ShapingResult(q.Psd(hi, [1e-300]), q.BitProfile(hi, [-1 / 3]),
+                            q.PowerBudget(1.0), 0.0, 1.0),
+        ]
+        monkeypatch.setattr(q.multichannel, "per_band_shaping", lambda noise, plan: results)
+        out = tmp_path / "d"
+        assert main(["partition", "--channel", f"file:{tmp_path / 'ch.csv'}", "--power", "1",
+                     "--n", "2", "--mode", "equal-bandwidth", "--out", str(out)]) == 0
+        assert (out / "shaping.csv").read_text() == (
+            "frequency_hz,sq_opt,bits\n"
+            "0.050000000000000003,0.10000000000000001,1e-300\n"
+            "0.15000000000000002,0.33333333333333331,-0\n"
+            "0.30000000000000004,1e-300,-0.33333333333333331\n")
 
 
 class TestImports:
@@ -422,6 +565,35 @@ class TestConfigFile:
             assert main(args + extra + ["--out", str(tmp_path / name)]) == 0
         assert dir_bytes(tmp_path / "file") == dir_bytes(tmp_path / "flag")
         assert dir_bytes(tmp_path / "file") != dir_bytes(tmp_path / "off")
+
+    @pytest.mark.parametrize("key, value", [
+        ("dither", "ture"), ("dither", "2"), ("dither", ""), ("save_trace", "on"),
+    ])
+    def test_bad_boolean_rejected(self, tmp_path, capsys, monkeypatch, key, value):
+        def no_design(*args, **kwargs):
+            raise AssertionError("design_ntf ran")
+
+        monkeypatch.setattr(q.deltasigma, "design_ntf", no_design)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"{key}={value}\n")
+        out = tmp_path / "d"
+        rc = main(SMALL_SIMULATE + ["--config", str(cfg_file), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err and repr(value) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, expected", [
+        ("1", True), ("true", True), ("TRUE", True), ("Yes", True),
+        ("0", False), ("false", False), ("False", False), ("NO", False),
+    ])
+    def test_boolean_spellings(self, tmp_path, monkeypatch, value, expected):
+        seen = {}
+        monkeypatch.setitem(cli._COMMANDS, "simulate", lambda args: seen.update(vars(args)) or 0)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"dither={value}\nsave_trace={value}\n")
+        assert main(["simulate", "--config", str(cfg_file)]) == 0
+        assert seen["dither"] is expected and seen["save_trace"] is expected
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
