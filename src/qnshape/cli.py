@@ -13,6 +13,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -81,10 +82,7 @@ def cmd_shape(args):
     ch = _load_channel(args)
     budget = _need_power(args)
 
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        analytic = sh.optimal_sq(ch.noise, budget)
+    analytic = sh.optimal_sq(ch.noise, budget)
     numeric = sh.optimal_sq_numerical(ch, budget)
     report = sh.verify_shaping(ch, analytic.sq_opt, budget)
     gap_db = sp.to_db(numeric.sq_opt.values) - sp.to_db(analytic.sq_opt.values)
@@ -208,10 +206,7 @@ def cmd_simulate(args):
         raise ValueError(f"--samples {args.samples} is too few: the tracking report needs "
                          f"at least {min_samples}")
 
-    import warnings
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        target = sh.optimal_sq(ch.noise, budget).sq_opt
+    target = sh.optimal_sq(ch.noise, budget).sq_opt
     ntf = ds.design_ntf(target, modcfg)
     loop = ds.loop_from_ntf(ntf)
 
@@ -358,16 +353,26 @@ def _apply_config_file(parser, args):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if args.config is not None:
-            _apply_config_file(parser, args)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
             args = parser.parse_args(argv)
-        _validate(args)
-        return _COMMANDS[args.command](args)
-    except (ValueError, ds.DesignInfeasibleError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+            if args.config is not None:
+                _apply_config_file(parser, args)
+                args = parser.parse_args(argv)
+            _validate(args)
+            status = _COMMANDS[args.command](args)
+        except (ValueError, ds.DesignInfeasibleError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 1
+    # each distinct UserWarning once, as one line; other warnings as Python shows them
+    for message in dict.fromkeys(str(w.message) for w in caught
+                                 if issubclass(w.category, UserWarning)):
+        print(f"warning: {message}", file=sys.stderr)
+    for w in caught:
+        if not issubclass(w.category, UserWarning):
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    return status
 
 
 if __name__ == "__main__":

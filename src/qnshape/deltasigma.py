@@ -160,6 +160,10 @@ class ModulatorConfig:
     dither: bool = False  # subtractive triangular-PDF dither, whitens y - v
 
     def __post_init__(self):
+        for name in ("osr", "sample_rate", "step", "max_ntf_gain"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.order < 1:
             raise ValueError("order must be >= 1: an order-0 loop cannot shape noise")
         if self.osr < 2:
@@ -209,7 +213,12 @@ def ntf_quant_psd(ntf, cfg, grid):
         raise ValueError("grid must lie within [0, sample_rate/2]")
     z = np.exp(2j * np.pi * grid.centers / fs)
     mag2 = np.abs(ntf(z)) ** 2
-    return Psd(grid, cfg.step ** 2 / (12.0 * fs) * mag2)
+    return Psd(grid, _quant_noise_level(cfg) * mag2)
+
+
+def _quant_noise_level(cfg):
+    """c0 = step^2/(12*fs): the unshaped quantizer's two-sided noise density."""
+    return cfg.step ** 2 / (12.0 * cfg.sample_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -320,10 +329,10 @@ def _bounded_lm(fun, jac, x0, lo, hi, ftol=1e-12, xtol=1e-12, max_nfev=500):
     1978): Marquardt scaling by the running maximum of diag(J^T J) and
     gain-ratio damping updates.
 
-    Iterates stay strictly inside the box: each coordinate of a step goes at
-    most 99.5% of the way to its bound, and a coordinate at a bound whose
-    gradient points out of the box is held.  (A pole angle clipped onto 0
-    would stall there, since d|NTF|/d phi = 0 at phi = 0.)  Stops when an
+    Iterates stay strictly inside the box: a step goes at most 99.5% of the
+    way to a bound and never rounds onto it, and a coordinate at a bound
+    whose gradient points out of the box is held.  (A pole angle clipped onto
+    0 would stall there, since d|NTF|/d phi = 0 at phi = 0.)  Stops when an
     accepted step lowers the cost by at most ftol of it, when a step is
     shorter than xtol relative to x, or after max_nfev evaluations of fun.
     Returns (x, cost)."""
@@ -343,6 +352,8 @@ def _bounded_lm(fun, jac, x0, lo, hi, ftol=1e-12, xtol=1e-12, max_nfev=500):
         step[free] = np.linalg.solve(
             normal[np.ix_(free, free)] + mu * np.diag(scale[free]), -grad[free])
         step = np.clip(step, 0.995 * (lo - x), 0.995 * (hi - x))
+        # a bound a few ulps away can still be reached by rounding: stay put
+        step[(x + step <= lo) | (x + step >= hi)] = 0.0
         f_new = fun(x + step)
         nfev += 1
         cost_new = 0.5 * float(f_new @ f_new)
@@ -393,7 +404,7 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
     z_in = np.exp(2j * np.pi * target_sq.grid.centers / fs)
     z_dense = np.exp(1j * np.linspace(0.0, np.pi, _PEAK_GRID))
 
-    c0 = cfg.step ** 2 / (12.0 * fs)
+    c0 = _quant_noise_level(cfg)
     log_target = np.log10(target_sq.values)
     k_in = log_target.size
     pen_weight = 30.0 * np.sqrt(k_in)
@@ -649,7 +660,7 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None,
         predicted = np.interp(inband_grid.centers, reference.grid.centers, reference.values)
     else:
         z = np.exp(2j * np.pi * fine_f[inband] / fs)
-        pred_fine = cfg.step ** 2 / (12.0 * fs) * np.abs(ntf(z)) ** 2
+        pred_fine = _quant_noise_level(cfg) * np.abs(ntf(z)) ** 2
         predicted = _bin_average(fine_f[inband], pred_fine, inband_grid)
 
     per_bin = 10.0 * np.log10(measured / predicted)

@@ -252,6 +252,12 @@ class TestSimulateCommand:
         ("--amplitude-dbfs", "nan", "--amplitude-dbfs must be finite"),
         ("--amplitude-dbfs", "-inf", "--amplitude-dbfs must be finite"),
         ("--amplitude-dbfs", "7000", "beyond the float range"),
+        ("--osr", "nan", "osr must be finite, got nan"),
+        ("--osr", "inf", "osr must be finite, got inf"),
+        ("--step", "nan", "step must be finite, got nan"),
+        ("--step", "inf", "step must be finite, got inf"),
+        ("--max-ntf-gain", "nan", "max_ntf_gain must be finite, got nan"),
+        ("--max-ntf-gain", "inf", "max_ntf_gain must be finite, got inf"),
     ])
     def test_bad_input_tone_rejected_before_design(self, tmp_path, capsys, monkeypatch,
                                                    flag, value, message):
@@ -468,10 +474,31 @@ class TestCsvBytes:
             "0.30000000000000004,1e-300,-0.33333333333333331\n")
 
 
+class TestWarnings:
+    @pytest.mark.parametrize("command", [["shape"], ["partition", "--n", "4"]])
+    def test_small_noise_warning_is_one_line(self, tmp_path, capsys, command):
+        # at this budget Sq exceeds Sv on the default wireline channel
+        rc = main([*command, "--power", "1e9", "--out", str(tmp_path / "d")])
+        assert rc == 0
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert lines and all(line.startswith("warning: quantization noise is not small")
+                             for line in lines)
+        assert len(set(lines)) == len(lines)
+        assert ".py:" not in err
+
+    def test_in_regime_run_prints_nothing(self, tmp_path, capsys):
+        rc = main(["shape", "--channel", "wireline", "--bins", "256", "--power", "2e12",
+                   "--out", str(tmp_path / "d")])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestImports:
     def test_no_command_needs_scipy(self, tmp_path):
         # a fresh process, because the test modules import scipy themselves;
-        # a meta-path finder makes every scipy import fail there
+        # a meta-path finder makes every scipy import fail there and records
+        # every attempt to import numba, which nothing may make
         g = q.make_grid(0.0, 250.0, 16)
         q.write_channel_csv(q.ChannelSpec(q.Psd(g, np.ones(16)), q.Psd(g, np.full(16, 0.1))),
                             tmp_path / "ch.csv")
@@ -480,14 +507,19 @@ class TestImports:
 import sys
 
 
-class BlockScipy:
+numba_imports = []
+
+
+class GuardImports:
     def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "numba":
+            numba_imports.append(name)
         if name == "scipy" or name.startswith("scipy."):
             raise ImportError(f"{name} is blocked")
         return None
 
 
-sys.meta_path.insert(0, BlockScipy())
+sys.meta_path.insert(0, GuardImports())
 try:
     import scipy.signal
 except ImportError:
@@ -505,14 +537,14 @@ for args in (["shape", "--channel", "wireline", "--bins", "64", "--power", "2e12
               "--power", "7.5e14", "--order", "4", "--dither", "--samples", "8192",
               "--out", "m"]):
     assert main(args) == 0, args
-print("ok", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("ok", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), numba_imports)
 """
         src = os.path.dirname(os.path.dirname(q.__file__))
         env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
         run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                              capture_output=True, text=True, timeout=120)
         assert run.returncode == 0, run.stderr
-        assert run.stdout.splitlines()[-1] == "ok []"
+        assert run.stdout.splitlines()[-1] == "ok [] []"
         assert (tmp_path / "m" / "summary.txt").exists()
 
 

@@ -1,9 +1,7 @@
 """The modulator kernel must reproduce the numpy reference loop below bit for
-bit: same float operations in the same order, no fastmath.  Every backend
-available runs against it: the pure-Python path (a body generated per loop
-order and quantizer mode) always, the numba JIT of the generic body when
-numba is installed.  The generic body itself, run in pure Python, must
-match it too, so the generated bodies and the numba path stay in step."""
+bit: same float operations in the same order.  ``modulator_core`` runs a
+pure-Python body generated per loop order and quantizer mode, and every one
+of them is compared against the reference."""
 
 import numpy as np
 import pytest
@@ -67,10 +65,9 @@ def reference_modulator(x, b, a, step, levels, dither, inject, use_inject, state
     return y, q, sat, max_state
 
 
-@pytest.fixture(params=["python"] + (["numba"] if _kernels.HAVE_NUMBA else []))
-def modulator_core(request, monkeypatch):
-    if request.param == "python":
-        monkeypatch.setattr(_kernels, "_jit_body", None)
+@pytest.fixture(params=["python"])
+def modulator_core():
+    # the pure-Python kernel, the only backend
     return _kernels.modulator_core
 
 
@@ -144,25 +141,13 @@ def test_huge_and_non_finite_inputs(modulator_core):
     assert np.isnan(y[-1])
 
 
-def _run_body(body, x, b, a, dither, inject, use_inject, state_limit):
-    """Call a loop body the way the pure-Python path does; returns the
-    reference's outputs plus the final loop state."""
-    y = np.zeros(x.size)
-    q = np.zeros(x.size)
-    s = [0.0] * len(b)
-    sat, max_state = body(memoryview(x), [float(c) for c in b], [float(c) for c in a],
-                          STEP, LEVELS, memoryview(dither), memoryview(inject), use_inject,
-                          state_limit, memoryview(y), memoryview(q), s)
-    return y, q, sat, max_state, s
-
-
 @settings(max_examples=100, deadline=None)
 @given(order=st.integers(0, 8), mode=st.sampled_from(["plain", "dither", "inject"]),
        npts=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1),
        amplitude=st.floats(0.0, 2.0),
        state_limit=st.floats(-1.0, 3.0).map(lambda e: 10.0 ** e) | st.just(np.inf))
-def test_generated_and_generic_bodies_match_reference(order, mode, npts, seed, amplitude,
-                                                      state_limit):
+def test_modulator_core_matches_reference_property(order, mode, npts, seed, amplitude,
+                                                   state_limit):
     rng = np.random.default_rng(seed)
     b = rng.uniform(-1.0, 1.0, order)
     a = rng.uniform(-1.0, 1.0, order)
@@ -173,15 +158,5 @@ def test_generated_and_generic_bodies_match_reference(order, mode, npts, seed, a
     inject = rng.uniform(-0.5, 0.5, npts) * STEP if use_inject else np.zeros(0)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        want = reference_modulator(x, b, a, STEP, LEVELS, dither, inject, use_inject,
-                                   state_limit)
-    generated = _run_body(_kernels._python_body(order, mode), x, b, a, dither, inject,
-                          use_inject, state_limit)
-    generic = _run_body(_kernels._modulator_body, x, b, a, dither, inject, use_inject,
-                        state_limit)
-    for got in (generated, generic):
-        assert_array_equal(got[0], want[0])
-        assert_array_equal(got[1], want[1])
-        assert got[2:4] == want[2:4]
-    # both bodies leave the same final state behind
-    assert_array_equal(generated[4], generic[4])
+        _run_both(_kernels.modulator_core, x, b, a, STEP, LEVELS, dither, inject, use_inject,
+                  state_limit)
