@@ -3,15 +3,13 @@
 H(z) = (b[0] z^-1 + ... + b[n-1] z^-n) / (1 + a[0] z^-1 + ... + a[n-1] z^-n)
 is realized in transposed direct-form II, so the quantizer input v[t]
 depends only on past samples (H strictly proper, no delay-free loop).  The
-quantizer works in one of three modes:
+quantizer works in one of two modes:
 
-- "plain": a mid-rise uniform quantizer with ``levels`` levels of ``step``,
+- plain: a mid-rise uniform quantizer with ``levels`` levels of ``step``,
   clipped at full scale, each clip counted as a saturation;
-- "dither": the same quantizer with subtractive dither, which keeps the
+- dithered: the same quantizer with subtractive dither, which keeps the
   effective error uniform white without adding power: y - v equals the
-  lattice error of v + d;
-- "inject": the quantizer is bypassed and inject[t] is added to v[t], which
-  exercises the linearized model with a known error source.
+  lattice error of v + d.
 
 Once a state exceeds ``state_limit`` the modulator has diverged and the loop
 stops, leaving the rest of the output and the quantizer error at 0.
@@ -39,12 +37,9 @@ HAVE_NUMBA = False
 # would also raise on inf and nan, where np.floor passes the value through
 _INTEGRAL = 4503599627370496.0
 
-# the mode-specific arguments each body takes after (x, b, a, state_limit, y, q)
-_MODE_ARGS = {"plain": "step, levels", "dither": "step, levels, dither", "inject": "inject"}
 
-
-def _body_source(n, mode):
-    """Source of the modulator loop for loop order n and one quantizer mode.
+def _body_source(n, dithered):
+    """Source of the modulator loop for loop order n, plain or dithered.
 
     The state s[j] becomes the local s{j}, b[j] and a[j] become b{j} and
     a{j}, and the state update is unrolled.  The float operations follow
@@ -55,40 +50,35 @@ def _body_source(n, mode):
     Quantizer inputs of 2^52 steps or more, inf and nan go around
     ``math.floor``, as ``np.floor`` leaves them unchanged.
     """
-    lines = [f"def _body(x, b, a, state_limit, y, q, {_MODE_ARGS[mode]}):"]
+    lines = ["def _body(x, b, a, state_limit, y, q, step, levels, dither):"]
     if n > 0:
         lines += [f"    {''.join(f'{c}{j}, ' for j in range(n))}= {c}" for c in "ba"]
         lines += [f"    {' = '.join(f's{j}' for j in range(n))} = 0.0"]
-    if mode != "inject":
-        lines += ["    top = (levels / 2.0 - 0.5) * step",
-                  "    ntop = -top"]
-    lines += ["    sat = 0",
+    lines += ["    top = (levels / 2.0 - 0.5) * step",
+              "    ntop = -top",
+              "    sat = 0",
               "    max_state = 0.0",
               "    for t in range(len(x)):",
               f"        v = {'s0' if n > 0 else '0.0'}"]
-    if mode == "inject":
-        lines += ["        qt = inject[t]",
-                  "        yt = v + qt"]
+    if dithered:
+        lines += ["        d = dither[t]",
+                  "        r = (v + d) / step"]
     else:
-        if mode == "dither":
-            lines += ["        d = dither[t]",
-                      "        r = (v + d) / step"]
-        else:
-            lines += ["        r = v / step"]
-        lines += [f"        if {-_INTEGRAL!r} < r < {_INTEGRAL!r}:",
-                  "            yt = (floor(r) + 0.5) * step",
-                  "        else:",
-                  "            yt = (r + 0.5) * step",
-                  "        if yt > top:",
-                  "            yt = top",
-                  "            sat += 1",
-                  "        elif yt < ntop:",
-                  "            yt = ntop",
-                  "            sat += 1"]
-        if mode == "dither":
-            lines += ["        yt -= d"]
-        lines += ["        qt = yt - v"]
-    lines += ["        y[t] = yt",
+        lines += ["        r = v / step"]
+    lines += [f"        if {-_INTEGRAL!r} < r < {_INTEGRAL!r}:",
+              "            yt = (floor(r) + 0.5) * step",
+              "        else:",
+              "            yt = (r + 0.5) * step",
+              "        if yt > top:",
+              "            yt = top",
+              "            sat += 1",
+              "        elif yt < ntop:",
+              "            yt = ntop",
+              "            sat += 1"]
+    if dithered:
+        lines += ["        yt -= d"]
+    lines += ["        qt = yt - v",
+              "        y[t] = yt",
               "        q[t] = qt",
               "        u = x[t] - yt"]
     for j in range(n):
@@ -103,33 +93,23 @@ def _body_source(n, mode):
 
 
 @functools.cache
-def _body(n, mode):
-    """The loop body for (n, mode), compiled on first use."""
+def _body(n, dithered):
+    """The loop body for (n, dithered), compiled on first use."""
     namespace = {"floor": floor}
-    exec(compile(_body_source(n, mode), f"<modulator body n={n} {mode}>", "exec"), namespace)
+    source = _body_source(n, dithered)
+    exec(compile(source, f"<modulator body n={n} dithered={dithered}>", "exec"), namespace)
     return namespace["_body"]
 
 
-def _as_float_array(v):
-    return np.ascontiguousarray(v, dtype=float)
-
-
-def modulator_core(x, b, a, step, levels, dither, inject, use_inject, state_limit):
+def modulator_core(x, b, a, step, levels, dither, state_limit):
     """Run the modulator on x with loop filter coefficients b, a (see the
-    module docstring).  The mode is "inject" when ``use_inject`` is set, else
-    "dither" when ``dither`` is non-empty, else "plain".  Returns (output,
-    quantizer_error, saturation_count, max_abs_state)."""
-    x = _as_float_array(x)
+    module docstring), dithered when ``dither`` is non-empty.  x and dither
+    are contiguous float64 arrays.  Returns (output, quantizer_error,
+    saturation_count, max_abs_state)."""
     y = np.zeros(x.size)
     q = np.zeros(x.size)
-    dither = _as_float_array(dither)
-    if use_inject:
-        mode, mode_args = "inject", (memoryview(_as_float_array(inject)),)
-    elif dither.size > 0:
-        mode, mode_args = "dither", (float(step), float(levels), memoryview(dither))
-    else:
-        mode, mode_args = "plain", (float(step), float(levels))
-    sat, max_state = _body(len(b), mode)(memoryview(x), [float(c) for c in b],
-                                         [float(c) for c in a], float(state_limit),
-                                         memoryview(y), memoryview(q), *mode_args)
+    body = _body(len(b), dither.size > 0)
+    sat, max_state = body(memoryview(x), [float(c) for c in b], [float(c) for c in a],
+                          float(state_limit), memoryview(y), memoryview(q),
+                          float(step), float(levels), memoryview(dither))
     return y, q, sat, max_state

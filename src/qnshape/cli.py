@@ -194,6 +194,9 @@ def cmd_simulate(args):
     for flag, value in (("--fin-ratio", args.fin_ratio), ("--amplitude-dbfs", args.amplitude_dbfs)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
+    if not 0.0 < args.fin_ratio < modcfg.osr:
+        raise ValueError(f"--fin-ratio must lie in (0, --osr) = (0, {modcfg.osr}) so that "
+                         f"the tone lies below fs/2, got {args.fin_ratio}")
     try:
         amp = modcfg.full_scale * 10.0 ** (args.amplitude_dbfs / 20.0)
     except OverflowError:
@@ -295,7 +298,7 @@ def build_parser():
     p_sim.add_argument("--dither", action="store_true", default=argparse.SUPPRESS)
     p_sim.add_argument("--samples", type=int, default=262144)
     p_sim.add_argument("--fin-ratio", type=float, default=0.37, dest="fin_ratio",
-                       help="input tone frequency as a fraction of the band edge")
+                       help="input tone frequency as a fraction of the band edge, in (0, --osr)")
     p_sim.add_argument("--amplitude-dbfs", type=float, default=-6.0, dest="amplitude_dbfs")
     p_sim.add_argument("--save-trace", action="store_true", dest="save_trace")
 

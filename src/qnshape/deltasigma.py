@@ -106,24 +106,24 @@ def _tf_from_num_den(num, den):
     return RationalTf(zeros, poles, num[0] / den[0])
 
 
-def _pad_left(c, length):
-    return np.concatenate([np.zeros(length - c.size), c])
+def _padded_coeffs(tf):
+    """tf's (num, den), the shorter one padded with leading zeros to equal
+    length, so both are in descending powers of z from the same power."""
+    num, den = tf.coeffs()
+    length = max(num.size, den.size)
+    return np.pad(num, (length - num.size, 0)), np.pad(den, (length - den.size, 0))
 
 
 def ntf_from_loop(h):
     """Noise transfer function 1/(1+H) of the unit-feedback loop."""
-    bn, ad = h.coeffs()
-    length = max(bn.size, ad.size)
-    den = _pad_left(ad, length) + _pad_left(bn, length)
-    return _tf_from_num_den(_pad_left(ad, length), den)
+    bn, ad = _padded_coeffs(h)
+    return _tf_from_num_den(ad, ad + bn)
 
 
 def stf_from_loop(h):
     """Signal transfer function H/(1+H) of the unit-feedback loop."""
-    bn, ad = h.coeffs()
-    length = max(bn.size, ad.size)
-    den = _pad_left(ad, length) + _pad_left(bn, length)
-    return _tf_from_num_den(_pad_left(bn, length), den)
+    bn, ad = _padded_coeffs(h)
+    return _tf_from_num_den(bn, ad + bn)
 
 
 def loop_from_ntf(ntf):
@@ -510,53 +510,35 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
 # ---------------------------------------------------------------------------
 # time-domain simulation
 
-def simulate(h, cfg, input_samples, seed=0, injected_error=None):
+def simulate(h, cfg, input_samples, seed=0):
     """Run the single-loop modulator on an input sequence.
 
     The loop filter h must be strictly proper (no delay-free path).  The
     trace records the output, the per-sample quantizer error y-v, the
     saturation count, and a stability flag that clears when any loop state
     exceeds 10x quantizer full scale.  Instability is a reported state, not
-    an exception.  Input and injected samples must be finite: a NaN state
-    never exceeds the limit, so such a run would pass as stable.
-
-    injected_error is a test hook: when given, the quantizer is replaced by
-    adding this known sequence to the loop-filter output, exercising the
-    linearized model with a controlled error source.
+    an exception.  Input samples must be finite: a NaN state never exceeds
+    the limit, so such a run would pass as stable.
     """
     x = np.ascontiguousarray(input_samples, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("input_samples must be finite")
-    bn, ad = h.coeffs()
-    bn = bn / ad[0]
-    ad = ad / ad[0]
-    bn = _pad_left(bn, ad.size)
+    bn, ad = _padded_coeffs(h)
+    # an improper H pads its denominator, so ad[0] == 0: check before dividing
     scale = max(float(np.max(np.abs(bn))), float(np.max(np.abs(ad))))
-    if abs(bn[0]) > 1e-9 * scale:
+    if ad[0] == 0.0 or abs(bn[0]) > 1e-9 * scale:
         raise ValueError("loop filter must be strictly proper (H -> 0 as z -> infinity)")
-    b = np.ascontiguousarray(bn[1:])
-    a = np.ascontiguousarray(ad[1:])
 
     if cfg.dither:
         rng = np.random.default_rng(seed)
         dither = (rng.random(x.size) - rng.random(x.size)) * cfg.step
     else:
         dither = np.zeros(0)
-    if injected_error is not None:
-        inject = np.ascontiguousarray(injected_error, dtype=float)
-        if inject.size != x.size:
-            raise ValueError("injected_error must match the input length")
-        if not np.all(np.isfinite(inject)):
-            raise ValueError("injected_error must be finite")
-        use_inject = True
-    else:
-        inject = np.zeros(0)
-        use_inject = False
 
     state_limit = 10.0 * cfg.full_scale
     y, q, sat, max_state = modulator_core(
-        x, b, a, float(cfg.step), float(cfg.quantizer_levels),
-        dither, inject, use_inject, state_limit,
+        x, bn[1:] / ad[0], ad[1:] / ad[0], cfg.step, cfg.quantizer_levels,
+        dither, state_limit,
     )
     return SimulationTrace(
         input=x,
@@ -609,18 +591,12 @@ class TrackingReport:
 _TRACKING_SEGMENT = 4096
 
 
-def _tracking_skip(n, segment_len):
-    """Leading samples of an n-sample trace that measured_vs_predicted drops
-    as the loop's start-up transient."""
-    return min(segment_len, n // 4)
-
-
 def _min_tracking_samples(segment_len=_TRACKING_SEGMENT):
-    """Fewest trace samples that leave a full Welch segment after the skip."""
-    n = segment_len
-    while n - _tracking_skip(n, segment_len) < segment_len:
-        n += 1
-    return n
+    """Fewest trace samples n that leave a full Welch segment after
+    measured_vs_predicted drops min(segment_len, n // 4) start-up samples:
+    n - n // 4 = ceil(3n/4) >= segment_len exactly when
+    n > 4*(segment_len - 1)/3."""
+    return 4 * (segment_len - 1) // 3 + 1
 
 
 def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None,
@@ -639,13 +615,11 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None,
         raise ValueError("trace is from an unstable run; comparison is meaningless")
     fs = cfg.sample_rate
 
-    num_ntf, den_ntf = ntf.coeffs()
-    length = max(num_ntf.size, den_ntf.size)
-    num_ntf = _pad_left(num_ntf, length)
-    den_ntf = _pad_left(den_ntf, length)
+    num_ntf, den_ntf = _padded_coeffs(ntf)
     shaped = trace.output - _filter_fft(den_ntf - num_ntf, den_ntf, trace.input)
 
-    skip = _tracking_skip(shaped.size, segment_len)
+    # the loop's start-up transient; _min_tracking_samples follows this rule
+    skip = min(segment_len, shaped.size // 4)
     est = estimate_psd(shaped[skip:], fs, segment_len, overlap_fraction)
     measured_fine = est.values / 2.0
 

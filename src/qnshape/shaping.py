@@ -79,19 +79,31 @@ def _closed_form_scale(sv, delta, p):
     return bracket * bracket
 
 
+def _closed_form_sq(noise, budget):
+    """optimal_sq without its small-noise warning, for in-package comparisons."""
+    _check_noise(noise)
+    budget = as_budget(budget)
+    g = noise.grid
+    scale = _closed_form_scale(noise.values, g.delta, budget.p)
+    sq = Psd(g, noise.values ** (2.0 / 3.0) * scale)
+    return ShapingResult(
+        sq_opt=sq,
+        bit_profile=bits_from_sq(sq),
+        achieved_power=capacity.power_of_sq(sq),
+        info_loss=capacity.info_loss(noise, sq),
+        lagrange_scale=scale,
+    )
+
+
 def optimal_sq(noise, budget):
     """Closed-form information-maximizing quantization noise shape.
 
     Sq(f) = Sv(f)^(2/3) * [ integral(Sv^(-1/3)) / (sqrt(12)*P) ]^2, evaluated
     with the grid's own Riemann sum so the power constraint holds exactly.
+    Warns when the shape leaves its small-noise validity regime.
     """
-    _check_noise(noise)
-    budget = as_budget(budget)
-    g = noise.grid
-    sv = noise.values
-    scale = _closed_form_scale(sv, g.delta, budget.p)
-    sq_vals = sv ** (2.0 / 3.0) * scale
-    ratio = float(np.max(sq_vals / sv))
+    result = _closed_form_sq(noise, budget)
+    ratio = float(np.max(result.sq_opt.values / noise.values))
     if ratio > SMALLNESS_WARN_RATIO:
         warnings.warn(
             f"quantization noise is not small relative to channel noise "
@@ -100,14 +112,7 @@ def optimal_sq(noise, budget):
             UserWarning,
             stacklevel=2,
         )
-    sq = Psd(g, sq_vals)
-    return ShapingResult(
-        sq_opt=sq,
-        bit_profile=bits_from_sq(sq),
-        achieved_power=capacity.power_of_sq(sq),
-        info_loss=capacity.info_loss(noise, sq),
-        lagrange_scale=scale,
-    )
+    return result
 
 
 def _stationary_u(kappa):
@@ -197,9 +202,7 @@ def verify_shaping(ch, sq, budget):
     require_same_grid(ch.grid, sq.grid, "channel and quantization PSD")
     achieved = capacity.power_of_sq(sq).p
     loss = capacity.info_loss(ch.noise, sq)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        closed = optimal_sq(ch.noise, budget)
+    closed = _closed_form_sq(ch.noise, budget)
     sx = ch.signal.values
     total_noise = ch.noise.values + sq.values
     with np.errstate(divide="ignore"):

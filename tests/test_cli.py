@@ -249,6 +249,12 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("flag, value, message", [
         ("--fin-ratio", "nan", "--fin-ratio must be finite"),
         ("--fin-ratio", "inf", "--fin-ratio must be finite"),
+        # the tone must lie in (0, fs/2): fin_ratio * fhi with fs/2 = osr * fhi
+        ("--fin-ratio", "0", "--fin-ratio must lie in (0, --osr) = (0, 12.0) so that the tone "
+                             "lies below fs/2, got 0.0"),
+        ("--fin-ratio", "-0.37", "(0, 12.0) so that the tone lies below fs/2, got -0.37"),
+        ("--fin-ratio", "12", "(0, 12.0) so that the tone lies below fs/2, got 12.0"),
+        ("--fin-ratio", "40", "(0, 12.0) so that the tone lies below fs/2, got 40.0"),
         ("--amplitude-dbfs", "nan", "--amplitude-dbfs must be finite"),
         ("--amplitude-dbfs", "-inf", "--amplitude-dbfs must be finite"),
         ("--amplitude-dbfs", "7000", "beyond the float range"),

@@ -251,29 +251,31 @@ class TestSimulate:
         assert trace.saturation_count == 0
         assert np.max(np.abs(trace.quantizer_error)) <= cfg.step / 2.0 + 1e-15
 
-    def test_output_identity_with_injected_error(self):
-        # Y = STF X + NTF Q holds exactly when Q is a known injected sequence
+    @pytest.mark.parametrize("dither", [False, True], ids=["plain", "dithered"])
+    def test_output_identity_with_recorded_error(self, dither):
+        # Y = STF X + NTF Q holds exactly with Q the trace's own quantizer
+        # error, whatever the quantizer (clipping and dither included) did
         rng = np.random.default_rng(29)  # seed chosen for a stable closed loop
         h = random_stable_loop(rng, 3)
         ntf = q.ntf_from_loop(h)
         assert ntf.is_stable()
-        cfg = q.ModulatorConfig(order=3, osr=12, sample_rate=1.0)
+        cfg = q.ModulatorConfig(order=3, osr=12, sample_rate=1.0, dither=dither)
         x = rng.standard_normal(4096) * 0.1
-        inj = rng.uniform(-0.5, 0.5, 4096) * cfg.step
-        trace = q.simulate(h, cfg, x, injected_error=inj)
-        num_n, den_n = ntf.coeffs()
-        num_s, den_s = q.stf_from_loop(h).coeffs()
-        expect = (sps.lfilter(np.concatenate([np.zeros(den_s.size - num_s.size), num_s]),
-                              den_s, x)
-                  + sps.lfilter(np.concatenate([np.zeros(den_n.size - num_n.size), num_n]),
-                                den_n, inj))
+        trace = q.simulate(h, cfg, x, seed=3)
+        assert trace.stability_flag
+        num_n, den_n = ds._padded_coeffs(ntf)
+        num_s, den_s = ds._padded_coeffs(q.stf_from_loop(h))
+        expect = (sps.lfilter(num_s, den_s, x)
+                  + sps.lfilter(num_n, den_n, trace.quantizer_error))
         assert np.max(np.abs(trace.output - expect)) < 1e-9
 
     def test_non_strictly_proper_loop_rejected(self):
-        h = q.RationalTf(np.array([0.5 + 0j]), np.array([-0.5 + 0j]), 1.0)
         cfg = q.ModulatorConfig(order=1)
-        with pytest.raises(ValueError, match="strictly proper"):
-            q.simulate(h, cfg, np.zeros(8))
+        # biproper (a delay-free path), then improper (more zeros than poles)
+        for zeros, poles in (([0.5], [-0.5]), ([0.5, 0.3], [0.1])):
+            h = q.RationalTf(np.array(zeros, complex), np.array(poles, complex), 1.0)
+            with pytest.raises(ValueError, match="strictly proper"):
+                q.simulate(h, cfg, np.zeros(8))
 
     def test_divergent_loop_flags_instability(self):
         # DC beyond full scale winds the integrator up without bound: the
@@ -294,10 +296,6 @@ class TestSimulate:
         x[10] = bad
         with pytest.raises(ValueError, match="input_samples must be finite"):
             q.simulate(h, cfg, x)
-        inj = np.zeros(100)
-        inj[10] = bad
-        with pytest.raises(ValueError, match="injected_error must be finite"):
-            q.simulate(h, cfg, np.zeros(100), injected_error=inj)
 
     def test_dither_deterministic_in_seed(self):
         cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0, dither=True)
@@ -570,21 +568,20 @@ class TestMeasuredVsPredicted:
         with pytest.raises(ValueError, match="unstable"):
             q.measured_vs_predicted(trace, ntf, cfg)
 
-    def test_injected_white_noise_matches_model(self):
-        # linear-model isolation: uniform white source through a real 4th-order
-        # loop converges to the analytic curve within 1 dB RMS
-        rng = np.random.default_rng(30)
+    def test_dithered_white_noise_matches_model(self):
+        # linear-model isolation: on zero input, subtractive dither makes the
+        # quantizer error uniform white, and through a real 4th-order loop it
+        # converges to the analytic curve within 1 dB RMS
         fs = 4.8e9
         cfg = q.ModulatorConfig(order=4, osr=12.0, sample_rate=fs,
-                                quantizer_levels=16, step=0.125)
+                                quantizer_levels=16, step=0.125, dither=True)
         grid = q.make_grid(0.0, cfg.band_edge, 32)
         floor = cfg.step ** 2 / (12.0 * fs)
         target = q.Psd(grid, np.full(32, floor * 10.0 ** (-1.8)))
         ntf = q.design_ntf(target, cfg)
         h = q.loop_from_ntf(ntf)
         n = 2 ** 17
-        x = np.zeros(n)
-        inj = rng.uniform(-0.5, 0.5, n) * cfg.step
-        trace = q.simulate(h, cfg, x, injected_error=inj)
+        trace = q.simulate(h, cfg, np.zeros(n), seed=30)
+        assert trace.saturation_count == 0
         rep = q.measured_vs_predicted(trace, ntf, cfg, inband_grid=grid)
         assert rep.rms_db_error < 1.0
