@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import modulator_core
-from .spectral import FrequencyGrid, Psd, _write_csv, estimate_psd, make_grid
+from .spectral import FrequencyGrid, Psd, _write_csv, estimate_psd
 
 _COEF_TOL = 1e-12
 
@@ -28,6 +28,11 @@ class DesignInfeasibleError(RuntimeError):
         self.achieved_rms_db = achieved_rms_db
         self.peak_gain = peak_gain
         self.order = order
+
+
+def _root_product(z, roots):
+    """prod_k (z - roots[k]) at each point of z; 1 where there are no roots."""
+    return np.prod(z[:, None] - roots[None, :], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,10 +66,7 @@ class RationalTf:
     def __call__(self, z):
         """Evaluate at complex point(s) z."""
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        ones = np.ones(zz.shape, dtype=complex)
-        num = np.prod(zz[:, None] - self.zeros[None, :], axis=1) if self.zeros.size else ones
-        den = np.prod(zz[:, None] - self.poles[None, :], axis=1) if self.poles.size else ones
-        out = self.gain * num / den
+        out = self.gain * _root_product(zz, self.zeros) / _root_product(zz, self.poles)
         return out if np.ndim(z) else out[0]
 
     @property
@@ -77,8 +79,8 @@ class RationalTf:
         den = np.poly(self.poles) if self.poles.size else np.array([1.0])
         return np.real(np.atleast_1d(num)), np.real(np.atleast_1d(den))
 
-    def is_monic(self, tol=1e-9):
-        return self.zeros.size == self.poles.size and abs(self.gain - 1.0) <= tol
+    def is_monic(self):
+        return self.zeros.size == self.poles.size and abs(self.gain - 1.0) <= 1e-9
 
     def is_stable(self):
         return bool(np.all(np.abs(self.poles) < 1.0)) if self.poles.size else True
@@ -227,6 +229,7 @@ def _quant_noise_level(cfg):
 _ZERO_RADIUS_BETA = 0.6      # sets null depth: 1-rho = beta*theta_b/(2*pairs)
 _PEAK_GRID = 2048
 _BOUND_HOLD = 1e-9           # fraction of a box side that counts as sitting on its bound
+_RMS_LIMIT_DB = 6.0          # in-band RMS fit error beyond which a design is infeasible
 
 
 def _poles_from_params(x, order):
@@ -323,28 +326,30 @@ def _initial_pole_params(order, cfg):
     return starts
 
 
-def _bounded_lm(fun, jac, x0, lo, hi, ftol=1e-12, xtol=1e-12, max_nfev=500):
-    """Minimize 0.5*|fun(x)|^2 over the box lo < x < hi by Levenberg-Marquardt
+def _bounded_lm(fun, x0, lo, hi):
+    """Minimize 0.5*|f(x)|^2 over the box lo < x < hi by Levenberg-Marquardt
     (Moré, "The Levenberg-Marquardt algorithm: implementation and theory",
     1978): Marquardt scaling by the running maximum of diag(J^T J) and
     gain-ratio damping updates.
 
+    fun(x) returns (f(x), jac), and jac() builds the Jacobian at x from that
+    evaluation; it is called only at the start and at accepted points.
     Iterates stay strictly inside the box: a step goes at most 99.5% of the
     way to a bound and never rounds onto it, and a coordinate at a bound
     whose gradient points out of the box is held.  (A pole angle clipped onto
     0 would stall there, since d|NTF|/d phi = 0 at phi = 0.)  Stops when an
-    accepted step lowers the cost by at most ftol of it, when a step is
-    shorter than xtol relative to x, or after max_nfev evaluations of fun.
+    accepted step lowers the cost by at most 1e-12 of it, when a step is
+    shorter than 1e-12 relative to x, or after 500 evaluations of fun.
     Returns (x, cost)."""
     x = np.array(x0, dtype=float)
-    f = fun(x)
+    f, jac = fun(x)
     cost, nfev = 0.5 * float(f @ f), 1
     mu, nu, scale = 1e-2, 2.0, np.zeros_like(x)
     near = _BOUND_HOLD * (hi - lo)
     new_point = True
-    while nfev < max_nfev:
+    while nfev < 500:
         if new_point:
-            jx = jac(x)
+            jx = jac()
             grad, normal = jx.T @ f, jx.T @ jx
             scale = np.maximum(scale, np.diag(normal))
             free = ~(((x - lo <= near) & (grad > 0)) | ((hi - x <= near) & (grad < 0)))
@@ -354,15 +359,15 @@ def _bounded_lm(fun, jac, x0, lo, hi, ftol=1e-12, xtol=1e-12, max_nfev=500):
         step = np.clip(step, 0.995 * (lo - x), 0.995 * (hi - x))
         # a bound a few ulps away can still be reached by rounding: stay put
         step[(x + step <= lo) | (x + step >= hi)] = 0.0
-        f_new = fun(x + step)
+        f_new, jac_new = fun(x + step)
         nfev += 1
         cost_new = 0.5 * float(f_new @ f_new)
         predicted = -float(grad @ step) - 0.5 * float(np.sum((jx @ step) ** 2))
         rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
-        short = np.linalg.norm(step) <= xtol * (xtol + np.linalg.norm(x))
+        short = np.linalg.norm(step) <= 1e-12 * (1e-12 + np.linalg.norm(x))
         if rho > 0:
-            done = short or cost - cost_new <= ftol * cost
-            x, f, cost = x + step, f_new, cost_new
+            done = short or cost - cost_new <= 1e-12 * cost
+            x, f, jac, cost = x + step, f_new, jac_new, cost_new
             mu *= max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3)
             nu, new_point = 2.0, True
         else:
@@ -374,7 +379,22 @@ def _bounded_lm(fun, jac, x0, lo, hi, ftol=1e-12, xtol=1e-12, max_nfev=500):
     return x, cost
 
 
-def design_ntf(target_sq, cfg, rms_limit_db=6.0):
+def _best_fit(fun, starts, lo, hi):
+    """The lowest-cost (x, cost) that _bounded_lm reaches from the starts,
+    each moved at least 1e-6 inside the box; a start whose damped normal
+    equations turn singular is skipped.  None when every start is."""
+    best = None
+    for x0 in starts:
+        try:
+            sol = _bounded_lm(fun, np.clip(x0, lo + 1e-6, hi - 1e-6), lo, hi)
+        except np.linalg.LinAlgError:
+            continue
+        if best is None or sol[1] < best[1]:
+            best = sol
+    return best
+
+
+def design_ntf(target_sq, cfg):
     """Synthesize a monic stable NTF whose induced quantization PSD matches
     target_sq in-band.
 
@@ -382,11 +402,10 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
     peak-gain cap as a penalty: first the poles alone, with zeros fixed near
     the unit circle at angles carved from the target shape, then a joint
     polish of zero angles and poles (zero radii stay on the fixed shallow
-    rule).  Both stages give the solver the exact Jacobian, in closed form
-    from d ln|NTF| / d root, computed from the same evaluation as the
-    residual at each point.  Raises DesignInfeasibleError (carrying the achieved in-band RMS
-    error) when the order cannot express the target's dynamic range or the
-    gain cap cannot be met.
+    rule).  Each stage keeps the best of its starts (_best_fit), fitted on
+    the exact Jacobian from d ln|NTF| / d root.  Raises DesignInfeasibleError
+    (with the in-band RMS error and peak gain) when the fit exceeds the gain
+    cap by over 1%, misses the target by over _RMS_LIMIT_DB RMS, or is unstable.
     """
     order = cfg.order
     fs = cfg.sample_rate
@@ -406,61 +425,35 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
 
     c0 = _quant_noise_level(cfg)
     log_target = np.log10(target_sq.values)
-    k_in = log_target.size
-    pen_weight = 30.0 * np.sqrt(k_in)
+    pen_weight = 30.0 * np.sqrt(log_target.size)
     cap = cfg.max_ntf_gain
 
-    def residual(zeros, poles):
-        """Fit rows and penalty row, plus the dense-grid peak and its index."""
-        num_in = np.prod(z_in[:, None] - zeros[None, :], axis=1) if zeros.size else 1.0
-        den_in = np.prod(z_in[:, None] - poles[None, :], axis=1)
-        fit = np.log10(c0 * np.abs(num_in / den_in) ** 2) - log_target
-        num_d = np.prod(z_dense[:, None] - zeros[None, :], axis=1) if zeros.size else 1.0
-        den_d = np.prod(z_dense[:, None] - poles[None, :], axis=1)
-        mag_d = np.abs(num_d / den_d)
+    def residual(rts):
+        """Fit rows and penalty row at rts = (zeros, d zeros/dx, poles,
+        d poles/dx), a function building their exact Jacobian, and the peak."""
+        zeros, _, poles, _ = rts
+        ratio = _root_product(z_in, zeros) / _root_product(z_in, poles)
+        fit = np.log10(c0 * np.abs(ratio) ** 2) - log_target
+        mag_d = np.abs(_root_product(z_dense, zeros) / _root_product(z_dense, poles))
         m = int(np.argmax(mag_d))
         peak = float(mag_d[m])
-        return np.append(fit, pen_weight * max(0.0, (peak - cap) / cap)), peak, m
 
-    pairs = order // 2
-    pole_lo = np.array([0.0, 0.0] * pairs + ([0.0] if odd else []))
-    pole_hi = np.array([0.97, 0.6 * np.pi] * pairs + ([0.97] if odd else []))
-
-    def solve(roots, x0, lo, hi):
-        """Fit over x, where roots(x) -> (zeros, d zeros/dx, poles, d poles/dx).
-        The residual and its exact Jacobian share one evaluation per point."""
-        point = {}
-
-        def at(x):
-            if "x" not in point or not np.array_equal(point["x"], x):
-                rts = roots(x)
-                point.update(x=x.copy(), roots=rts, resid=residual(rts[0], rts[2]))
-            return point
-
-        def jac(x):
-            p = at(x)
-            _, peak, m = p["resid"]
-            rows = _log_mag_grad(np.append(z_in, z_dense[m]), *p["roots"])
+        def jac():
+            rows = _log_mag_grad(np.append(z_in, z_dense[m]), *rts)
             rows[:-1] *= 2.0 / np.log(10.0)
             # the penalty's slope pen_weight/cap * d peak/dx, at the peak bin
             rows[-1] *= pen_weight / cap * peak if peak > cap else 0.0
             return rows
-
-        x0 = np.clip(x0, lo + 1e-6, hi - 1e-6)
-        return _bounded_lm(lambda x: at(x)["resid"][0], jac, x0, lo, hi)
+        return np.append(fit, pen_weight * max(0.0, (peak - cap) / cap)), jac, peak
 
     # stage 1: poles only, zeros frozen at the carved placement
+    pairs = order // 2
+    pole_lo = np.array([0.0, 0.0] * pairs + ([0.0] if odd else []))
+    pole_hi = np.array([0.97, 0.6 * np.pi] * pairs + ([0.97] if odd else []))
     zeros0, _ = _zeros_from_angles(zero_angles0, rho, odd)
     frozen = (zeros0, np.zeros((zeros0.size, 0)))
-    stage1 = None
-    for x0 in _initial_pole_params(order, cfg):
-        try:
-            sol = solve(lambda x: (*frozen, *_poles_from_params(x, order)),
-                        x0, pole_lo, pole_hi)
-        except np.linalg.LinAlgError:
-            continue
-        if stage1 is None or sol[1] < stage1[1]:
-            stage1 = sol
+    stage1 = _best_fit(lambda x: residual((*frozen, *_poles_from_params(x, order)))[:2],
+                       _initial_pole_params(order, cfg), pole_lo, pole_hi)
     if stage1 is None:
         raise DesignInfeasibleError("pole optimization failed for all starting points",
                                     order=order)
@@ -470,25 +463,18 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
         return (*_zeros_from_angles(x[:n_zp], rho, odd),
                 *_poles_from_params(x[n_zp:], order))
 
-    lo = np.concatenate([np.zeros(n_zp), pole_lo])
-    hi = np.concatenate([np.full(n_zp, theta_b), pole_hi])
-    best = None
-    for x0 in (np.concatenate([zero_angles0, stage1[0]]),
-               np.concatenate([(np.arange(n_zp) + 0.5) / max(n_zp, 1) * theta_b, stage1[0]])):
-        try:
-            sol = solve(joint, x0, lo, hi)
-        except np.linalg.LinAlgError:
-            continue
-        if best is None or sol[1] < best[1]:
-            best = sol
+    spread = (np.arange(n_zp) + 0.5) / max(n_zp, 1) * theta_b
+    best = _best_fit(lambda x: residual(joint(x))[:2],
+                     [np.concatenate([angles, stage1[0]]) for angles in (zero_angles0, spread)],
+                     np.concatenate([np.zeros(n_zp), pole_lo]),
+                     np.concatenate([np.full(n_zp, theta_b), pole_hi]))
     if best is None:
         raise DesignInfeasibleError("joint zero/pole polish failed", order=order)
 
-    zeros, _, poles, _ = joint(best[0])
-    ntf = RationalTf(zeros, poles, 1.0)
-    peak = float(np.max(np.abs(ntf(z_dense))))
-    fit = residual(zeros, poles)[0][:-1]
-    rms_db = 10.0 * float(np.sqrt(np.mean(fit ** 2)))
+    rts = joint(best[0])
+    ntf = RationalTf(rts[0], rts[2], 1.0)
+    f, _, peak = residual(rts)
+    rms_db = 10.0 * float(np.sqrt(np.mean(f[:-1] ** 2)))
     fitted = {"achieved_rms_db": rms_db, "peak_gain": peak, "order": order}
     if peak > cap * 1.01:
         raise DesignInfeasibleError(
@@ -496,10 +482,10 @@ def design_ntf(target_sq, cfg, rms_limit_db=6.0):
             f"in-band RMS error {rms_db:.2f} dB",
             **fitted,
         )
-    if rms_db > rms_limit_db:
+    if rms_db > _RMS_LIMIT_DB:
         raise DesignInfeasibleError(
             f"order-{order} NTF cannot express the target: in-band RMS error "
-            f"{rms_db:.2f} dB exceeds {rms_limit_db:.2f} dB",
+            f"{rms_db:.2f} dB exceeds {_RMS_LIMIT_DB:.2f} dB",
             **fitted,
         )
     if not ntf.is_stable():
@@ -591,40 +577,40 @@ class TrackingReport:
 _TRACKING_SEGMENT = 4096
 
 
-def _min_tracking_samples(segment_len=_TRACKING_SEGMENT):
-    """Fewest trace samples n that leave a full Welch segment after
-    measured_vs_predicted drops min(segment_len, n // 4) start-up samples:
-    n - n // 4 = ceil(3n/4) >= segment_len exactly when
-    n > 4*(segment_len - 1)/3."""
-    return 4 * (segment_len - 1) // 3 + 1
+def _min_tracking_samples():
+    """Fewest trace samples n that leave a full Welch segment of S samples
+    (_TRACKING_SEGMENT) after measured_vs_predicted drops min(S, n // 4)
+    start-up samples: n - n // 4 = ceil(3n/4) >= S exactly when n > 4(S-1)/3."""
+    return 4 * (_TRACKING_SEGMENT - 1) // 3 + 1
 
 
-def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None,
-                          segment_len=_TRACKING_SEGMENT, overlap_fraction=0.5):
+def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
     """Welch-estimate the trace's shaped quantization noise and compare it
     in-band against the analytic model.
 
     The shaped noise is extracted exactly as output - STF*input (STF = 1-NTF
-    for the unit-feedback loop).  The one-sided Welch estimate is halved to
-    the analytic model's two-sided density convention, then bin-averaged onto
-    the comparison grid.  reference overrides the NTF-induced PSD as the
-    analytic curve (e.g. to compare against a shaping target), and supplies
-    the grid when inband_grid is not given.
+    for the unit-feedback loop).  Its one-sided Welch estimate, over
+    _TRACKING_SEGMENT-sample Hann segments with half overlap, is halved to
+    the analytic model's two-sided density convention, then bin-averaged
+    onto the comparison grid: inband_grid, else reference's grid (one of the
+    two is required).  reference overrides the NTF-induced PSD as the
+    analytic curve (e.g. to compare against a shaping target).
     """
     if not trace.stability_flag:
         raise ValueError("trace is from an unstable run; comparison is meaningless")
+    if inband_grid is None:
+        if reference is None:
+            raise ValueError("measured_vs_predicted needs inband_grid or reference")
+        inband_grid = reference.grid
     fs = cfg.sample_rate
 
     num_ntf, den_ntf = _padded_coeffs(ntf)
     shaped = trace.output - _filter_fft(den_ntf - num_ntf, den_ntf, trace.input)
 
     # the loop's start-up transient; _min_tracking_samples follows this rule
-    skip = min(segment_len, shaped.size // 4)
-    est = estimate_psd(shaped[skip:], fs, segment_len, overlap_fraction)
+    skip = min(_TRACKING_SEGMENT, shaped.size // 4)
+    est = estimate_psd(shaped[skip:], fs, _TRACKING_SEGMENT)
     measured_fine = est.values / 2.0
-
-    if inband_grid is None:
-        inband_grid = reference.grid if reference is not None else make_grid(0.0, cfg.band_edge, 32)
 
     fine_f = est.grid.centers
     inband = fine_f <= inband_grid.f_hi * (1.0 + 1e-12)

@@ -18,22 +18,14 @@ from .spectral import FrequencyGrid, Psd, _write_csv
 
 _SQRT12 = np.sqrt(12.0)
 
-EQUAL_POWER_TOL = 1e-6
-
 
 @dataclass(frozen=True, eq=False)
 class PartitionPlan:
-    """Contiguous band edges with per-band power and bandwidth.
-
-    power_balance_tol declares how equal the per-band powers are meant to be;
-    None means the plan intentionally carries unequal powers (constrained
-    modes).
-    """
+    """Contiguous band edges with per-band power and bandwidth."""
 
     edges: np.ndarray
     per_band_power: np.ndarray
     per_band_bandwidth: np.ndarray
-    power_balance_tol: float | None = None
 
     def __post_init__(self):
         e = np.asarray(self.edges, dtype=float).copy()
@@ -49,10 +41,6 @@ class PartitionPlan:
             raise ValueError("bandwidths must match the edge spacing")
         if np.any(p <= 0):
             raise ValueError("per-band powers must be positive")
-        if self.power_balance_tol is not None:
-            mean = float(np.mean(p))
-            if float(np.max(np.abs(p - mean))) > self.power_balance_tol * mean:
-                raise ValueError("per-band powers exceed the declared balance tolerance")
         for arr in (e, p, w):
             arr.setflags(write=False)
         object.__setattr__(self, "edges", e)
@@ -97,6 +85,18 @@ def _power_measure(noise, budget):
     return global_result, shares, cum
 
 
+def _split_setup(noise, budget_total, n):
+    """The checked budget and band count n for splitting noise's grid, and
+    the cumulative power integral of the global optimal shape."""
+    budget_total = as_budget(budget_total)
+    if int(n) != n or n < 1:
+        raise ValueError("number of bands must be a positive integer")
+    n = int(n)
+    if n > noise.grid.num_bins:
+        raise ValueError(f"cannot split {noise.grid.num_bins} bins into {n} bands")
+    return budget_total, n, _power_measure(noise, budget_total)[2]
+
+
 def partition_equal_power(noise, budget_total, n):
     """Split the band into n contiguous pieces of equal converter power.
 
@@ -104,15 +104,8 @@ def partition_equal_power(noise, budget_total, n):
     optimal shape (interpolated within bins, so each band receives exactly
     total/n).
     """
-    budget_total = as_budget(budget_total)
-    if int(n) != n or n < 1:
-        raise ValueError("number of bands must be a positive integer")
-    n = int(n)
+    budget_total, n, cum = _split_setup(noise, budget_total, n)
     g = noise.grid
-    if n > g.num_bins:
-        raise ValueError(f"cannot split {g.num_bins} bins into {n} bands")
-
-    _, _, cum = _power_measure(noise, budget_total)
     p = budget_total.p
     targets = p * np.arange(1, n) / n
     interior = np.interp(targets, cum, g.edges)
@@ -121,7 +114,6 @@ def partition_equal_power(noise, budget_total, n):
         edges=edges,
         per_band_power=np.full(n, p / n),
         per_band_bandwidth=np.diff(edges),
-        power_balance_tol=EQUAL_POWER_TOL,
     )
 
 
@@ -214,16 +206,8 @@ def partition_constrained(noise, budget_total, n, mode="equal-bandwidth"):
     program over cut positions, O(n T^2) per total T, so any n up to the bin
     count is accepted.
     """
-    budget_total = as_budget(budget_total)
-    if int(n) != n or n < 1:
-        raise ValueError("number of bands must be a positive integer")
-    n = int(n)
+    budget_total, n, cum = _split_setup(noise, budget_total, n)
     g = noise.grid
-    if n > g.num_bins:
-        raise ValueError(f"cannot split {g.num_bins} bins into {n} bands")
-
-    _, _, cum = _power_measure(noise, budget_total)
-
     if mode == "equal-bandwidth":
         edges = g.f_lo + np.arange(n + 1) * (g.width / n)
         edges[-1] = g.f_hi
@@ -237,7 +221,6 @@ def partition_constrained(noise, budget_total, n, mode="equal-bandwidth"):
         edges=edges,
         per_band_power=powers,
         per_band_bandwidth=np.diff(edges),
-        power_balance_tol=None,
     )
 
 

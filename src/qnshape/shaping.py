@@ -75,8 +75,15 @@ def _check_noise(noise):
 
 
 def _closed_form_scale(sv, delta, p):
-    bracket = delta * float(np.sum(sv ** (-1.0 / 3.0))) / (_SQRT12 * p)
-    return bracket * bracket
+    """[delta * sum(Sv^(-1/3)) / (sqrt(12) P)]^2, the closed form's factor on
+    Sv^(2/3); a ValueError names the budget P when it is not a normal float."""
+    with np.errstate(over="ignore"):
+        bracket = delta * float(np.sum(sv ** (-1.0 / 3.0))) / (_SQRT12 * p)
+        scale = bracket * bracket
+    if not np.finfo(float).tiny <= scale < np.inf:
+        raise ValueError(f"power budget {p:g} is out of range for this channel: the "
+                         f"closed-form noise scale {scale:.3g} is not a normal float")
+    return scale
 
 
 def _closed_form_sq(noise, budget):
@@ -151,11 +158,20 @@ def optimal_sq_numerical(ch, budget, cfg=None):
     scale = _closed_form_scale(sv, g.delta, budget.p)
     inv_root_sv = sv ** -0.5
     hi = 1.5 * np.log(scale)
-    lo = hi - np.log1p(float(np.max(scale * sv ** (-1.0 / 3.0))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = hi - np.log1p(float(np.max(scale * sv ** (-1.0 / 3.0))))
+        # kappa = e^t / sqrt(Sv) is least at t = lo: kappa^4 overflowing there
+        # overflows on the whole bracket, and a budget large enough that kappa
+        # rounds to 0 there has Sq/Sv so small that the bracket has closed on lo
+        if not np.all(np.isfinite(_stationary_u(np.exp(lo) * inv_root_sv))):
+            raise ValueError(f"power budget {budget.p:g} is out of range for the exact solve "
+                             f"on this channel: its multiplier leaves the float range")
     converged = False
     for iters in range(1, cfg.max_iters + 1):
         t = 0.5 * (lo + hi)
-        u = _stationary_u(np.exp(t) * inv_root_sv)
+        # where kappa^4 overflows, u and so excess are nan, which reads as t too high
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = _stationary_u(np.exp(t) * inv_root_sv)
         # power of Sq = u^2 Sv relative to the budget
         excess = g.delta * float(np.sum(inv_root_sv / u)) / (_SQRT12 * budget.p)
         if excess > 1.0:

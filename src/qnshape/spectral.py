@@ -13,11 +13,10 @@ import numpy as np
 DB_FLOOR = -200.0
 
 
-def to_db(values, floor_db=DB_FLOOR):
-    """10*log10 with a finite floor for zero/negative bins."""
+def to_db(values):
+    """10*log10 with a floor of DB_FLOOR dB for zero/negative bins."""
     v = np.asarray(values, dtype=float)
-    lin_floor = 10.0 ** (floor_db / 10.0)
-    return 10.0 * np.log10(np.maximum(v, lin_floor))
+    return 10.0 * np.log10(np.maximum(v, 10.0 ** (DB_FLOOR / 10.0)))
 
 
 def from_db(values_db):
@@ -63,12 +62,13 @@ class FrequencyGrid:
         return self.f_lo + np.arange(self.num_bins + 1) * self.delta
 
 
-def grids_compatible(a, b, rtol=1e-9):
-    """True if two grids describe the same discretization (float tolerant)."""
+def grids_compatible(a, b):
+    """True if two grids describe the same discretization, to 1e-9 relative."""
+    atol = 1e-9 * max(abs(a.width), 1.0)
     return (
         a.num_bins == b.num_bins
-        and np.isclose(a.f_lo, b.f_lo, rtol=rtol, atol=rtol * max(abs(a.width), 1.0))
-        and np.isclose(a.f_hi, b.f_hi, rtol=rtol, atol=rtol * max(abs(a.width), 1.0))
+        and np.isclose(a.f_lo, b.f_lo, rtol=1e-9, atol=atol)
+        and np.isclose(a.f_hi, b.f_hi, rtol=1e-9, atol=atol)
     )
 
 

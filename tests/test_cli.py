@@ -493,6 +493,22 @@ class TestWarnings:
         assert len(set(lines)) == len(lines)
         assert ".py:" not in err
 
+    @pytest.mark.parametrize("command, power", [
+        (["shape"], "1e-300"), (["shape"], "1e-150"), (["shape"], "1e160"), (["shape"], "1e300"),
+        (["partition", "--n", "4"], "1e-300"), (["partition", "--n", "4"], "1e300"),
+        (["simulate", "--channel", "wireless", "--bins", "64", "--fhi", "2e8"], "1e-150"),
+        (["simulate", "--channel", "wireless", "--bins", "64", "--fhi", "2e8"], "1e300"),
+    ])
+    def test_out_of_range_budget_is_named(self, tmp_path, capsys, command, power):
+        # the closed-form scale (1e-300, 1e-150, 1e300) or the exact solve's
+        # multiplier (1e160) leaves the float range
+        out = tmp_path / "d"
+        assert main([*command, "--power", power, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: power budget {float(power):g} is out of range")
+        assert "Warning" not in err and ".py:" not in err
+        assert not out.exists()
+
     def test_in_regime_run_prints_nothing(self, tmp_path, capsys):
         rc = main(["shape", "--channel", "wireline", "--bins", "256", "--power", "2e12",
                    "--out", str(tmp_path / "d")])

@@ -44,14 +44,14 @@ def random_stable_loop(rng, order):
 
 
 def captured_problems(monkeypatch, target, cfg):
-    """Every (fun, jac, lo, hi) that design_ntf hands to its least-squares
-    solver.  The solver is skipped (each call returns its start point), so the
-    design itself may end infeasible."""
+    """Every (fun, lo, hi) that design_ntf hands to its least-squares solver,
+    where fun(x) returns (f, jac).  The solver is skipped (each call returns
+    its start point), so the design itself may end infeasible."""
     problems = []
 
-    def spy(fun, jac, x0, lo, hi, **kwargs):
-        problems.append((fun, jac, lo, hi))
-        return x0, 0.5 * float(np.sum(fun(x0) ** 2))
+    def spy(fun, x0, lo, hi):
+        problems.append((fun, lo, hi))
+        return x0, 0.5 * float(np.sum(fun(x0)[0] ** 2))
 
     monkeypatch.setattr(ds, "_bounded_lm", spy)
     with contextlib.suppress(DesignInfeasibleError):
@@ -366,18 +366,20 @@ class TestDesignNtf:
                                      replace(cfg, order=order, max_ntf_gain=cap))
         assert len(problems) == 5  # three pole-only starts, two joint starts
         stage1, stage2 = problems[0], problems[-1]
-        assert stage1[2].size == order
-        assert stage2[2].size == order + order // 2  # zero angles, then poles
+        assert stage1[1].size == order
+        assert stage2[1].size == order + order // 2  # zero angles, then poles
         rng = np.random.default_rng(order)
         h = 1e-6
         penalty_active = cap < 1.5
-        for fun, jac, lo, hi in (stage1, stage2):
+        for fun, lo, hi in (stage1, stage2):
             for _ in range(3):
                 x = lo + (hi - lo) * rng.uniform(0.05, 0.95, lo.size)
-                assert (fun(x)[-1] > 0.0) == penalty_active
+                f, jac = fun(x)
+                assert (f[-1] > 0.0) == penalty_active
                 steps = h * np.eye(x.size)
-                fd = np.column_stack([(fun(x + e) - fun(x - e)) / (2.0 * h) for e in steps])
-                assert_allclose(jac(x), fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+                fd = np.column_stack([(fun(x + e)[0] - fun(x - e)[0]) / (2.0 * h)
+                                      for e in steps])
+                assert_allclose(jac(), fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
 
     def test_infeasible_target_reports_achieved_error(self):
         fs = 4.8e9
@@ -392,18 +394,18 @@ class TestDesignNtf:
         assert exc_info.value.order == 2
 
     def test_over_constrained_fit_reports_peak_and_order(self):
-        # a flat target within the gain cap, but an order-1 NTF is a
-        # first-order highpass and cannot be flat to 0.01 dB
+        # a flat target 10 dB above the unshaped floor: an NTF within the gain
+        # cap, |NTF| <= 1.5 (3.5 dB), misses it by more than 6 dB in every bin
         fs = 4.8e9
         cfg = q.ModulatorConfig(order=1, osr=12.0, sample_rate=fs)
         grid = q.make_grid(0.0, cfg.band_edge, 32)
         floor = cfg.step ** 2 / (12.0 * fs)
-        target = q.Psd(grid, np.full(32, floor * 0.5))
+        target = q.Psd(grid, np.full(32, floor * 10.0))
         with pytest.raises(DesignInfeasibleError, match="cannot express") as exc_info:
-            q.design_ntf(target, cfg, rms_limit_db=0.01)
+            q.design_ntf(target, cfg)
         err = exc_info.value
         assert err.order == 1
-        assert err.achieved_rms_db > 0.01
+        assert err.achieved_rms_db > 6.0
         assert 1.0 <= err.peak_gain <= cfg.max_ntf_gain * 1.01
 
     def test_target_beyond_band_rejected(self):
@@ -450,7 +452,7 @@ class TestBoundedLm:
 
         # the solver stays strictly inside: it holds the active coordinate
         # within about 1e-9 of the box side from its bound
-        x, cost = ds._bounded_lm(lambda x: a @ x - b, lambda x: a, np.full(4, 0.5), lo, hi)
+        x, cost = ds._bounded_lm(lambda x: (a @ x - b, lambda: a), np.full(4, 0.5), lo, hi)
         assert np.all((x > lo) & (x < hi))
         assert_allclose(x, best_x, atol=1e-8)
         assert cost == pytest.approx(best_cost, rel=1e-8)
@@ -469,14 +471,40 @@ class TestBoundedLm:
 
         def fun(x):
             seen.append(x.copy())
-            return _lm_test_problem(a, b, x)[0]
+            f, jx = _lm_test_problem(a, b, x)
+            return f, lambda: jx
 
-        x, cost = ds._bounded_lm(fun, lambda x: _lm_test_problem(a, b, x)[1], x0, lo, hi)
+        x, cost = ds._bounded_lm(fun, x0, lo, hi)
         assert len(seen) <= 500
         assert all(np.all((p > lo) & (p < hi)) for p in seen)
         assert np.all((x > lo) & (x < hi))
-        assert cost <= 0.5 * float(np.sum(fun(x0) ** 2))
-        assert cost == pytest.approx(0.5 * float(np.sum(fun(x) ** 2)), rel=1e-12)
+        assert cost <= 0.5 * float(np.sum(fun(x0)[0] ** 2))
+        assert cost == pytest.approx(0.5 * float(np.sum(fun(x)[0] ** 2)), rel=1e-12)
+
+    def test_jacobian_built_only_at_start_and_accepted_points(self):
+        # J is built where the solver steps from: the start and each accepted
+        # point, never at a rejected trial point
+        rng = np.random.default_rng(43)
+        a = rng.standard_normal((9, 6))
+        b = 3.0 * rng.standard_normal(9)
+        lo, hi = np.full(6, -2.0), np.full(6, 2.0)
+        costs, built = [], []
+
+        def fun(x):
+            f, jx = _lm_test_problem(a, b, x)
+            costs.append(0.5 * float(f @ f))
+
+            def jac():
+                built.append(costs[-1])
+                return jx
+            return f, jac
+
+        ds._bounded_lm(fun, np.full(6, 0.1), lo, hi)
+        # on this problem a trial point is accepted exactly when it costs
+        # less than every earlier point
+        accepted = sum(c < min(costs[:k]) for k, c in enumerate(costs) if k)
+        assert accepted < len(costs) - 1  # some trial points were rejected
+        assert len(built) == 1 + accepted
 
 
 # In-band RMS fit (dB) of design_ntf on a sweep of orders 1-8 at OSR 12 and
@@ -544,8 +572,7 @@ class TestMeasuredVsPredicted:
         trace = q.simulate(zero_loop(), cfg, np.zeros(2 ** 17))
         ntf = q.RationalTf(np.array([], complex), np.array([], complex), 1.0)
         rep = q.measured_vs_predicted(trace, ntf, cfg,
-                                      inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16),
-                                      segment_len=2048)
+                                      inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16))
         assert np.max(np.abs(rep.per_bin_db_error)) < 1.0
 
     def test_first_order_shape(self):
@@ -555,8 +582,7 @@ class TestMeasuredVsPredicted:
         trace = q.simulate(first_order_loop(), cfg, x, seed=2)
         ntf = q.ntf_from_loop(first_order_loop())
         rep = q.measured_vs_predicted(trace, ntf, cfg,
-                                      inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16),
-                                      segment_len=2048)
+                                      inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16))
         assert rep.rms_db_error < 2.0
 
     def test_unstable_trace_rejected(self):
@@ -566,6 +592,13 @@ class TestMeasuredVsPredicted:
         assert not trace.stability_flag
         ntf = q.ntf_from_loop(first_order_loop())
         with pytest.raises(ValueError, match="unstable"):
+            q.measured_vs_predicted(trace, ntf, cfg)
+
+    def test_grid_or_reference_required(self):
+        cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0)
+        trace = q.simulate(zero_loop(), cfg, np.zeros(8192))
+        ntf = q.RationalTf(np.array([], complex), np.array([], complex), 1.0)
+        with pytest.raises(ValueError, match="inband_grid or reference"):
             q.measured_vs_predicted(trace, ntf, cfg)
 
     def test_dithered_white_noise_matches_model(self):

@@ -255,13 +255,6 @@ class TestPartitionConstrained:
 
 
 class TestPartitionPlanType:
-    def test_balance_tolerance_enforced(self):
-        with pytest.raises(ValueError, match="balance tolerance"):
-            q.PartitionPlan(edges=np.array([0.0, 1.0, 2.0]),
-                            per_band_power=np.array([1.0, 2.0]),
-                            per_band_bandwidth=np.array([1.0, 1.0]),
-                            power_balance_tol=1e-6)
-
     def test_edges_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             q.PartitionPlan(edges=np.array([0.0, 1.0, 1.0]),
