@@ -11,8 +11,11 @@ quantizer works in one of two modes:
   effective error uniform white without adding power: y - v equals the
   lattice error of v + d.
 
-Once a state exceeds ``state_limit`` the modulator has diverged and the loop
-stops, leaving the rest of the output and the quantizer error at 0.
+The modulator has diverged once the next quantizer input leaves ±10x full
+scale (``levels * step / 2``) or is NaN.  The loop then stops, leaving the
+rest of the output and the quantizer error at 0, and reports the run
+unstable.  The internal states are not watched: a loop whose direct-form
+states grow large while the quantizer input stays in range has not diverged.
 
 The loop is a per-sample recursion and cannot be vectorized.  It runs as a
 pure-Python body generated per loop order and quantizer mode: the state
@@ -33,10 +36,6 @@ import numpy as np
 # there is no numba backend; perfbench's environment record reads this flag
 HAVE_NUMBA = False
 
-# floats at or beyond 2^52 in magnitude are already integers; math.floor
-# would also raise on inf and nan, where np.floor passes the value through
-_INTEGRAL = 4503599627370496.0
-
 
 def _body_source(n, dithered):
     """Source of the modulator loop for loop order n, plain or dithered.
@@ -47,29 +46,27 @@ def _body_source(n, dithered):
     bit-identical.  The plain mode drops the reference's ``+ 0.0`` and
     ``- 0.0`` for the missing dither: they change at most the sign of a zero
     quantizer input, and floor maps both signs of zero to the same level.
-    Quantizer inputs of 2^52 steps or more, inf and nan go around
-    ``math.floor``, as ``np.floor`` leaves them unchanged.
+    After each update, one range test on s0, the next quantizer input, ends
+    the run when it leaves ±limit or is NaN, so ``math.floor`` only ever sees
+    a finite value.  Order 0 has no state and never diverges.
     """
-    lines = ["def _body(x, b, a, state_limit, y, q, step, levels, dither):"]
+    lines = ["def _body(x, b, a, y, q, step, levels, dither):"]
     if n > 0:
         lines += [f"    {''.join(f'{c}{j}, ' for j in range(n))}= {c}" for c in "ba"]
-        lines += [f"    {' = '.join(f's{j}' for j in range(n))} = 0.0"]
+        lines += [f"    {' = '.join(f's{j}' for j in range(n))} = 0.0",
+                  "    limit = 10.0 * (levels * step / 2.0)",
+                  "    nlimit = -limit"]
     lines += ["    top = (levels / 2.0 - 0.5) * step",
               "    ntop = -top",
               "    sat = 0",
-              "    max_state = 0.0",
               "    for t in range(len(x)):",
               f"        v = {'s0' if n > 0 else '0.0'}"]
     if dithered:
         lines += ["        d = dither[t]",
-                  "        r = (v + d) / step"]
+                  "        yt = (floor((v + d) / step) + 0.5) * step"]
     else:
-        lines += ["        r = v / step"]
-    lines += [f"        if {-_INTEGRAL!r} < r < {_INTEGRAL!r}:",
-              "            yt = (floor(r) + 0.5) * step",
-              "        else:",
-              "            yt = (r + 0.5) * step",
-              "        if yt > top:",
+        lines += ["        yt = (floor(v / step) + 0.5) * step"]
+    lines += ["        if yt > top:",
               "            yt = top",
               "            sat += 1",
               "        elif yt < ntop:",
@@ -83,12 +80,11 @@ def _body_source(n, dithered):
               "        u = x[t] - yt"]
     for j in range(n):
         head = f"s{j + 1} + " if j < n - 1 else ""
-        lines += [f"        s{j} = {head}b{j} * u - a{j} * v",
-                  f"        if abs(s{j}) > max_state:",
-                  f"            max_state = abs(s{j})"]
-    lines += ["        if max_state > state_limit:",
-              "            break",
-              "    return sat, max_state"]
+        lines += [f"        s{j} = {head}b{j} * u - a{j} * v"]
+    if n > 0:
+        lines += ["        if not nlimit <= s0 <= limit:",
+                  "            return sat, False"]
+    lines += ["    return sat, True"]
     return "\n".join(lines) + "\n"
 
 
@@ -101,15 +97,15 @@ def _body(n, dithered):
     return namespace["_body"]
 
 
-def modulator_core(x, b, a, step, levels, dither, state_limit):
+def modulator_core(x, b, a, step, levels, dither):
     """Run the modulator on x with loop filter coefficients b, a (see the
     module docstring), dithered when ``dither`` is non-empty.  x and dither
     are contiguous float64 arrays.  Returns (output, quantizer_error,
-    saturation_count, max_abs_state)."""
+    saturation_count, stable)."""
     y = np.zeros(x.size)
     q = np.zeros(x.size)
     body = _body(len(b), dither.size > 0)
-    sat, max_state = body(memoryview(x), [float(c) for c in b], [float(c) for c in a],
-                          float(state_limit), memoryview(y), memoryview(q),
-                          float(step), float(levels), memoryview(dither))
-    return y, q, sat, max_state
+    sat, stable = body(memoryview(x), [float(c) for c in b], [float(c) for c in a],
+                       memoryview(y), memoryview(q), float(step), float(levels),
+                       memoryview(dither))
+    return y, q, sat, stable

@@ -176,6 +176,8 @@ class ModulatorConfig:
             raise ValueError("quantizer_levels must be an even integer >= 2")
         if self.step <= 0:
             raise ValueError("step must be positive")
+        if not np.isfinite(self.full_scale):
+            raise ValueError(f"full scale levels*step/2 must be finite, got {self.full_scale}")
         if self.max_ntf_gain <= 1.0:
             raise ValueError("max_ntf_gain must exceed 1")
 
@@ -501,10 +503,10 @@ def simulate(h, cfg, input_samples, seed=0):
 
     The loop filter h must be strictly proper (no delay-free path).  The
     trace records the output, the per-sample quantizer error y-v, the
-    saturation count, and a stability flag that clears when any loop state
-    exceeds 10x quantizer full scale.  Instability is a reported state, not
-    an exception.  Input samples must be finite: a NaN state never exceeds
-    the limit, so such a run would pass as stable.
+    saturation count, and a stability flag that clears when the quantizer
+    input leaves ±10x quantizer full scale or is NaN; the run stops there.
+    Instability is a reported state, not an exception.  Input samples must
+    be finite.
     """
     x = np.ascontiguousarray(input_samples, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -521,17 +523,15 @@ def simulate(h, cfg, input_samples, seed=0):
     else:
         dither = np.zeros(0)
 
-    state_limit = 10.0 * cfg.full_scale
-    y, q, sat, max_state = modulator_core(
-        x, bn[1:] / ad[0], ad[1:] / ad[0], cfg.step, cfg.quantizer_levels,
-        dither, state_limit,
+    y, q, sat, stable = modulator_core(
+        x, bn[1:] / ad[0], ad[1:] / ad[0], cfg.step, cfg.quantizer_levels, dither,
     )
     return SimulationTrace(
         input=x,
         output=y,
         quantizer_error=q,
         saturation_count=int(sat),
-        stability_flag=bool(max_state <= state_limit),
+        stability_flag=stable,
     )
 
 

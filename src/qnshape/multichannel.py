@@ -21,35 +21,35 @@ _SQRT12 = np.sqrt(12.0)
 
 @dataclass(frozen=True, eq=False)
 class PartitionPlan:
-    """Contiguous band edges with per-band power and bandwidth."""
+    """Contiguous band edges with per-band power; each band's bandwidth is
+    its edge spacing."""
 
     edges: np.ndarray
     per_band_power: np.ndarray
-    per_band_bandwidth: np.ndarray
 
     def __post_init__(self):
         e = np.asarray(self.edges, dtype=float).copy()
         p = np.asarray(self.per_band_power, dtype=float).copy()
-        w = np.asarray(self.per_band_bandwidth, dtype=float).copy()
         if e.ndim != 1 or e.size < 2:
             raise ValueError("edges must hold at least two frequencies")
         if np.any(np.diff(e) <= 0):
             raise ValueError("edges must be strictly increasing")
-        if p.size != e.size - 1 or w.size != e.size - 1:
-            raise ValueError("need one power and one bandwidth per band")
-        if not np.allclose(w, np.diff(e), rtol=1e-9, atol=0):
-            raise ValueError("bandwidths must match the edge spacing")
+        if p.size != e.size - 1:
+            raise ValueError("need one power per band")
         if np.any(p <= 0):
             raise ValueError("per-band powers must be positive")
-        for arr in (e, p, w):
+        for arr in (e, p):
             arr.setflags(write=False)
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "per_band_power", p)
-        object.__setattr__(self, "per_band_bandwidth", w)
 
     @property
     def num_bands(self):
         return self.edges.size - 1
+
+    @property
+    def per_band_bandwidth(self):
+        return np.diff(self.edges)
 
     @property
     def total_power(self):
@@ -82,7 +82,7 @@ def _power_measure(noise, budget):
     g = noise.grid
     shares = g.delta * global_result.sq_opt.values ** -0.5 / _SQRT12
     cum = np.concatenate([[0.0], np.cumsum(shares)])
-    return global_result, shares, cum
+    return shares, cum
 
 
 def _split_setup(noise, budget_total, n):
@@ -94,7 +94,7 @@ def _split_setup(noise, budget_total, n):
     n = int(n)
     if n > noise.grid.num_bins:
         raise ValueError(f"cannot split {noise.grid.num_bins} bins into {n} bands")
-    return budget_total, n, _power_measure(noise, budget_total)[2]
+    return budget_total, n, _power_measure(noise, budget_total)[1]
 
 
 def partition_equal_power(noise, budget_total, n):
@@ -110,11 +110,7 @@ def partition_equal_power(noise, budget_total, n):
     targets = p * np.arange(1, n) / n
     interior = np.interp(targets, cum, g.edges)
     edges = np.concatenate([[g.f_lo], interior, [g.f_hi]])
-    return PartitionPlan(
-        edges=edges,
-        per_band_power=np.full(n, p / n),
-        per_band_bandwidth=np.diff(edges),
-    )
+    return PartitionPlan(edges=edges, per_band_power=np.full(n, p / n))
 
 
 def _snap_edges_to_bins(plan, grid):
@@ -148,7 +144,7 @@ def per_band_shaping(noise, plan):
     if _is_aligned(plan, g):
         budgets = plan.per_band_power
     else:
-        _, shares, _ = _power_measure(noise, PowerBudget(plan.total_power))
+        shares, _ = _power_measure(noise, PowerBudget(plan.total_power))
         budgets = np.array([np.sum(shares[idx[i]:idx[i + 1]]) for i in range(plan.num_bands)])
 
     results = []
@@ -217,11 +213,7 @@ def partition_constrained(noise, budget_total, n, mode="equal-bandwidth"):
         raise ValueError(f"unknown partition mode {mode!r}")
 
     powers = np.diff(np.interp(edges, g.edges, cum))
-    return PartitionPlan(
-        edges=edges,
-        per_band_power=powers,
-        per_band_bandwidth=np.diff(edges),
-    )
+    return PartitionPlan(edges=edges, per_band_power=powers)
 
 
 def write_plan_csv(plan, path):

@@ -225,6 +225,11 @@ class TestModulatorConfig:
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             q.ModulatorConfig(**{field: value})
 
+    def test_infinite_full_scale_rejected(self):
+        # an infinite divergence limit would let an infinite quantizer input through
+        with pytest.raises(ValueError, match="full scale"):
+            q.ModulatorConfig(quantizer_levels=2 * 10 ** 300, step=1e10)
+
 
 class TestSimulate:
     def test_zero_input_unit_ntf(self):
@@ -288,8 +293,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):
-        # a NaN state never exceeds the divergence limit, so such a run
-        # would otherwise report itself stable
+        # a non-finite sample is bad input, not a diverged modulator: it is
+        # rejected before the loop runs rather than reported as unstable
         h = random_stable_loop(np.random.default_rng(31), 2)
         cfg = q.ModulatorConfig(order=2, osr=12, sample_rate=1.0)
         x = np.zeros(100)

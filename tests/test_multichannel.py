@@ -17,7 +17,7 @@ def _exhaustive_integer_ratio(noise, p, n):
     replaces the best so far only if better by more than 1e-15.  Returns the
     edges and the worst relative deviation from equal power."""
     g = noise.grid
-    _, _, cum = _power_measure(noise, q.PowerBudget(p))
+    _, cum = _power_measure(noise, q.PowerBudget(p))
     p_even = p / n
     best_edges, best_dev = None, np.inf
     for total in range(n, 4 * n + 1):
@@ -136,11 +136,7 @@ class TestPerBandShaping:
         n = 4
         step = g.num_bins // n
         edges = g.edges[::step]
-        plan = q.PartitionPlan(
-            edges=edges,
-            per_band_power=np.full(n, budget.p / n),
-            per_band_bandwidth=np.diff(edges),
-        )
+        plan = q.PartitionPlan(edges=edges, per_band_power=np.full(n, budget.p / n))
         results = q.per_band_shaping(ch.noise, plan)
         concat = np.concatenate([r.sq_opt.values for r in results])
         global_res = q.optimal_sq(ch.noise, budget)
@@ -162,9 +158,7 @@ class TestPerBandShaping:
             cuts = np.sort(rng.choice(np.arange(8, g.num_bins - 8, 8), size=n - 1,
                                       replace=False))
             edges = np.concatenate([[g.f_lo], g.edges[cuts], [g.f_hi]])
-            alt = q.PartitionPlan(edges=edges,
-                                  per_band_power=np.full(n, budget.p / n),
-                                  per_band_bandwidth=np.diff(edges))
+            alt = q.PartitionPlan(edges=edges, per_band_power=np.full(n, budget.p / n))
             alt_loss = sum(r.info_loss for r in q.per_band_shaping(ch.noise, alt))
             assert alt_loss >= best - 1e-9 * best
 
@@ -195,7 +189,7 @@ class TestPartitionConstrained:
         budget = q.PowerBudget(300.0)
         plan = q.partition_constrained(noise, budget, 2, mode="integer-ratio")
 
-        _, shares, cum = _power_measure(noise, budget)
+        shares, cum = _power_measure(noise, budget)
         from itertools import combinations
         best_dev, best_widths = np.inf, None
         for total in range(2, 9):
@@ -258,8 +252,7 @@ class TestPartitionPlanType:
     def test_edges_must_increase(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             q.PartitionPlan(edges=np.array([0.0, 1.0, 1.0]),
-                            per_band_power=np.array([1.0, 1.0]),
-                            per_band_bandwidth=np.array([1.0, 0.0]))
+                            per_band_power=np.array([1.0, 1.0]))
 
     def test_csv(self, tmp_path, wireline_fixture):
         ch, budget = wireline_fixture
