@@ -31,8 +31,32 @@ class DesignInfeasibleError(RuntimeError):
 
 
 def _root_product(z, roots):
-    """prod_k (z - roots[k]) at each point of z; 1 where there are no roots."""
-    return np.prod(z[:, None] - roots[None, :], axis=1)
+    """prod_k (z - roots[k]) at each point of z; 1 where there are no roots.
+
+    The factors are multiplied in one at a time, in real arithmetic:
+    (re, im) <- (re*er - im*ei, re*ei + im*er) for each factor er + j*ei,
+    starting from z - roots[0].  Those are the float operations, unfused,
+    that numpy's complex product reduction performs, so the result is bit
+    for bit that of np.prod(z[:, None] - roots[None, :], axis=1), the
+    reference the tests hold it to, without the (points x roots) broadcast.
+    A complex ``out *= z - r`` loop is not: numpy's SIMD complex multiply
+    may fuse its operations with FMA, which rounds differently.
+    """
+    out = np.ones(z.shape, dtype=complex)
+    if roots.size:
+        zr, zi = z.real.copy(), z.imag.copy()
+        re, im = zr - roots[0].real, zi - roots[0].imag
+        er, ei, t = np.empty_like(zr), np.empty_like(zr), np.empty_like(zr)
+        for r in roots[1:]:
+            np.subtract(zr, r.real, out=er)
+            np.subtract(zi, r.imag, out=ei)
+            np.multiply(re, ei, out=t)
+            re *= er
+            re -= np.multiply(im, ei, out=ei)
+            im *= er
+            im += t
+        out.real, out.imag = re, im
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,9 +429,12 @@ def design_ntf(target_sq, cfg):
     the unit circle at angles carved from the target shape, then a joint
     polish of zero angles and poles (zero radii stay on the fixed shallow
     rule).  Each stage keeps the best of its starts (_best_fit), fitted on
-    the exact Jacobian from d ln|NTF| / d root.  Raises DesignInfeasibleError
-    (with the in-band RMS error and peak gain) when the fit exceeds the gain
-    cap by over 1%, misses the target by over _RMS_LIMIT_DB RMS, or is unstable.
+    the exact Jacobian from d ln|NTF| / d root.  Each residual evaluation
+    takes one root product per root set over the in-band and peak grids
+    together; stage 1 multiplies its frozen zeros out once per design.
+    Raises DesignInfeasibleError (with the in-band RMS error and peak gain)
+    when the fit exceeds the gain cap by over 1%, misses the target by over
+    _RMS_LIMIT_DB RMS, or is unstable.
     """
     order = cfg.order
     fs = cfg.sample_rate
@@ -424,19 +451,25 @@ def design_ntf(target_sq, cfg):
 
     z_in = np.exp(2j * np.pi * target_sq.grid.centers / fs)
     z_dense = np.exp(1j * np.linspace(0.0, np.pi, _PEAK_GRID))
+    # one root product per root set covers the fit rows and the peak grid
+    z_all = np.concatenate([z_in, z_dense])
+    n_in = z_in.size
 
     c0 = _quant_noise_level(cfg)
     log_target = np.log10(target_sq.values)
     pen_weight = 30.0 * np.sqrt(log_target.size)
     cap = cfg.max_ntf_gain
 
-    def residual(rts):
+    def residual(rts, num=None):
         """Fit rows and penalty row at rts = (zeros, d zeros/dx, poles,
-        d poles/dx), a function building their exact Jacobian, and the peak."""
+        d poles/dx), a function building their exact Jacobian, and the peak.
+        num is the zeros' root product on z_all, when it is known already."""
         zeros, _, poles, _ = rts
-        ratio = _root_product(z_in, zeros) / _root_product(z_in, poles)
-        fit = np.log10(c0 * np.abs(ratio) ** 2) - log_target
-        mag_d = np.abs(_root_product(z_dense, zeros) / _root_product(z_dense, poles))
+        if num is None:
+            num = _root_product(z_all, zeros)
+        mag = np.abs(num / _root_product(z_all, poles))
+        fit = np.log10(c0 * mag[:n_in] ** 2) - log_target
+        mag_d = mag[n_in:]
         m = int(np.argmax(mag_d))
         peak = float(mag_d[m])
 
@@ -454,7 +487,8 @@ def design_ntf(target_sq, cfg):
     pole_hi = np.array([0.97, 0.6 * np.pi] * pairs + ([0.97] if odd else []))
     zeros0, _ = _zeros_from_angles(zero_angles0, rho, odd)
     frozen = (zeros0, np.zeros((zeros0.size, 0)))
-    stage1 = _best_fit(lambda x: residual((*frozen, *_poles_from_params(x, order)))[:2],
+    num0 = _root_product(z_all, zeros0)
+    stage1 = _best_fit(lambda x: residual((*frozen, *_poles_from_params(x, order)), num0)[:2],
                        _initial_pole_params(order, cfg), pole_lo, pole_hi)
     if stage1 is None:
         raise DesignInfeasibleError("pole optimization failed for all starting points",

@@ -16,6 +16,8 @@ from qnshape.deltasigma import DesignInfeasibleError
 from conftest import DSM_BUDGET
 
 UNIT_CIRCLE_64 = np.exp(1j * (np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False) + 0.013))
+# design_ntf's peak-gain grid
+DENSE_HALF_CIRCLE = np.exp(1j * np.linspace(0.0, np.pi, ds._PEAK_GRID))
 
 
 def first_order_loop():
@@ -41,6 +43,29 @@ def random_stable_loop(rng, order):
 
     return q.RationalTf(conj_set(order - 1, 0.95), conj_set(order, 0.9),
                         rng.uniform(0.2, 2.0))
+
+
+def reference_root_product(z, roots):
+    """prod_k (z - roots[k]) as a (points x roots) broadcast reduced by
+    numpy's complex product: the spec that deltasigma._root_product must
+    match bit for bit."""
+    return np.prod(z[:, None] - roots[None, :], axis=1)
+
+
+@st.composite
+def root_sets(draw):
+    """0-9 roots: conjugate pairs (plus one real root for an odd count), or
+    arbitrary complex numbers."""
+    n = draw(st.integers(0, 9))
+    value = st.complex_numbers(max_magnitude=2.0)
+    if draw(st.booleans()):
+        roots = [c for w in draw(st.lists(value, min_size=n // 2, max_size=n // 2))
+                 for c in (w, w.conjugate())]
+        if n % 2:
+            roots.append(complex(draw(st.floats(-2.0, 2.0))))
+    else:
+        roots = draw(st.lists(value, min_size=n, max_size=n))
+    return np.array(roots, dtype=complex)
 
 
 def captured_problems(monkeypatch, target, cfg):
@@ -79,6 +104,21 @@ class TestRationalTf:
         assert_array_equal(back.zeros, tf.zeros)
         assert_array_equal(back.poles, tf.poles)
         assert back.gain == tf.gain
+
+
+class TestRootProduct:
+    @settings(max_examples=200, deadline=None)
+    @given(roots=root_sets(),
+           points=st.one_of(
+               st.sampled_from([UNIT_CIRCLE_64, DENSE_HALF_CIRCLE]),
+               st.lists(st.complex_numbers(max_magnitude=4.0), min_size=1, max_size=300)
+               .map(lambda v: np.array(v, dtype=complex))))
+    def test_matches_broadcast_reference_bit_for_bit(self, roots, points):
+        got = ds._root_product(points, roots)
+        expect = reference_root_product(points, roots)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert_array_equal(got.real, expect.real)
+        assert_array_equal(got.imag, expect.imag)
 
 
 class TestLoopAlgebra:
@@ -385,6 +425,37 @@ class TestDesignNtf:
                 fd = np.column_stack([(fun(x + e)[0] - fun(x - e)[0]) / (2.0 * h)
                                       for e in steps])
                 assert_allclose(jac(), fd, rtol=1e-6, atol=1e-6 * np.max(np.abs(fd)))
+
+    @pytest.mark.parametrize("order", range(3, 7))
+    def test_bit_identical_with_broadcast_root_product(self, dsm_fixture, monkeypatch, order):
+        ch, budget, cfg = dsm_fixture
+        cfg = replace(cfg, order=order)
+        target = q.optimal_sq(ch.noise, budget).sq_opt
+        ntf = q.design_ntf(target, cfg)
+        monkeypatch.setattr(ds, "_root_product", reference_root_product)
+        expect = q.design_ntf(target, cfg)
+        for got, want in ((ntf.zeros, expect.zeros), (ntf.poles, expect.poles)):
+            assert_array_equal(got.real, want.real)
+            assert_array_equal(got.imag, want.imag)
+
+    def test_residual_multiplies_each_root_set_once(self, dsm_fixture, monkeypatch):
+        # one product per root set, over the fit and peak grids together;
+        # stage 1 reuses its frozen zeros' product, so it multiplies the poles only
+        ch, budget, cfg = dsm_fixture
+        target = q.optimal_sq(ch.noise, budget).sq_opt
+        problems = captured_problems(monkeypatch, target, cfg)
+        calls = []
+
+        def counted(z, roots, product=ds._root_product):
+            calls.append((z.size, roots.size))
+            return product(z, roots)
+
+        monkeypatch.setattr(ds, "_root_product", counted)
+        points = target.grid.num_bins + ds._PEAK_GRID
+        for (fun, lo, hi), sets in ((problems[0], 1), (problems[-1], 2)):
+            calls.clear()
+            fun(0.5 * (lo + hi))
+            assert calls == [(points, cfg.order)] * sets
 
     def test_infeasible_target_reports_achieved_error(self):
         fs = 4.8e9
