@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import modulator_core
-from .spectral import FrequencyGrid, Psd, _write_csv, estimate_psd
+from .spectral import FrequencyGrid, Psd, _require_finite, _write_csv, estimate_psd
 
 _COEF_TOL = 1e-12
 
@@ -186,10 +186,8 @@ class ModulatorConfig:
     dither: bool = False  # subtractive triangular-PDF dither, whitens y - v
 
     def __post_init__(self):
-        for name in ("osr", "sample_rate", "step", "max_ntf_gain"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _require_finite(osr=self.osr, sample_rate=self.sample_rate, step=self.step,
+                        max_ntf_gain=self.max_ntf_gain)
         if self.order < 1:
             raise ValueError("order must be >= 1: an order-0 loop cannot shape noise")
         if self.osr < 2:
@@ -258,55 +256,30 @@ _BOUND_HOLD = 1e-9           # fraction of a box side that counts as sitting on 
 _RMS_LIMIT_DB = 6.0          # in-band RMS fit error beyond which a design is infeasible
 
 
-def _poles_from_params(x, order):
-    """Poles r*e^(+-j*phi) for each (r, phi) pair of x, then the real pole
-    x[-1] for odd order, with their derivatives d pole / d x as an
+def _pair_roots(x, order):
+    """Roots r*e^(+-j*phi) for each (r, phi) pair of x, then the real root
+    x[-1] for odd order, and a function building d root / d x as an
     (order, len(x)) complex matrix."""
     pairs = order // 2
     r, phi = x[0:2 * pairs:2], x[1:2 * pairs:2]
     up, down = np.exp(1j * phi), np.exp(-1j * phi)
-    poles = np.empty(order, dtype=complex)
-    poles[0:2 * pairs:2] = r * up
-    poles[1:2 * pairs:2] = r * down
-    d = np.zeros((order, len(x)), dtype=complex)
-    j = np.arange(pairs)
-    d[2 * j, 2 * j] = up
-    d[2 * j + 1, 2 * j] = down
-    d[2 * j, 2 * j + 1] = 1j * poles[0:2 * pairs:2]
-    d[2 * j + 1, 2 * j + 1] = -1j * poles[1:2 * pairs:2]
+    roots = np.empty(order, dtype=complex)
+    roots[0:2 * pairs:2] = r * up
+    roots[1:2 * pairs:2] = r * down
     if order % 2:
-        poles[-1] = x[2 * pairs]
-        d[-1, 2 * pairs] = 1.0
-    return poles, d
+        roots[-1] = x[2 * pairs]
 
-
-def _zeros_from_angles(angles, rho, odd):
-    """Zeros rho*e^(+-j*theta) for each angle, then the fixed real zero rho
-    for odd order, with their derivatives d zero / d angle."""
-    n = len(angles)
-    up, down = rho * np.exp(1j * angles), rho * np.exp(-1j * angles)
-    zeros = np.empty(2 * n + odd, dtype=complex)
-    zeros[0:2 * n:2] = up
-    zeros[1:2 * n:2] = down
-    d = np.zeros((zeros.size, n), dtype=complex)
-    j = np.arange(n)
-    d[2 * j, j] = 1j * up
-    d[2 * j + 1, j] = -1j * down
-    if odd:
-        zeros[-1] = rho
-    return zeros, d
-
-
-def _log_mag_grad(z, zeros, dzeros, poles, dpoles):
-    """d ln|NTF(z)| / d x for a monic NTF whose roots move as dzeros, dpoles
-    (d root / d x); columns are the zero parameters, then the pole ones.
-
-    Each zero w adds ln|z - w| and each pole subtracts it, and
-    d ln|z - w| / dx = Re(-(dw/dx) / (z - w)).
-    """
-    z = z[:, None]
-    return np.hstack([np.real(-(1.0 / (z - zeros)) @ dzeros),
-                      np.real((1.0 / (z - poles)) @ dpoles)])
+    def droots():
+        d = np.zeros((order, len(x)), dtype=complex)
+        j = np.arange(pairs)
+        d[2 * j, 2 * j] = up
+        d[2 * j + 1, 2 * j] = down
+        d[2 * j, 2 * j + 1] = 1j * roots[0:2 * pairs:2]
+        d[2 * j + 1, 2 * j + 1] = -1j * roots[1:2 * pairs:2]
+        if order % 2:
+            d[-1, 2 * pairs] = 1.0
+        return d
+    return roots, droots
 
 
 def _carved_zero_angles(target_sq, cfg):
@@ -433,8 +406,8 @@ def design_ntf(target_sq, cfg):
     takes one root product per root set over the in-band and peak grids
     together; stage 1 multiplies its frozen zeros out once per design.
     Raises DesignInfeasibleError (with the in-band RMS error and peak gain)
-    when the fit exceeds the gain cap by over 1%, misses the target by over
-    _RMS_LIMIT_DB RMS, or is unstable.
+    when the fit exceeds the gain cap by over 1% or misses the target by
+    over _RMS_LIMIT_DB RMS.
     """
     order = cfg.order
     fs = cfg.sample_rate
@@ -445,9 +418,8 @@ def design_ntf(target_sq, cfg):
 
     theta_b = np.pi / cfg.osr
     zero_angles0 = _carved_zero_angles(target_sq, cfg)
-    n_zp = zero_angles0.size
-    odd = bool(order % 2)
-    rho = 1.0 - _ZERO_RADIUS_BETA * theta_b / (2.0 * max(n_zp, 1))
+    pairs = order // 2
+    rho = 1.0 - _ZERO_RADIUS_BETA * theta_b / (2.0 * max(pairs, 1))
 
     z_in = np.exp(2j * np.pi * target_sq.grid.centers / fs)
     z_dense = np.exp(1j * np.linspace(0.0, np.pi, _PEAK_GRID))
@@ -460,11 +432,11 @@ def design_ntf(target_sq, cfg):
     pen_weight = 30.0 * np.sqrt(log_target.size)
     cap = cfg.max_ntf_gain
 
-    def residual(rts, num=None):
-        """Fit rows and penalty row at rts = (zeros, d zeros/dx, poles,
-        d poles/dx), a function building their exact Jacobian, and the peak.
-        num is the zeros' root product on z_all, when it is known already."""
-        zeros, _, poles, _ = rts
+    def residual(zeros, dzeros, poles, dpoles, num=None):
+        """Fit rows and penalty row at the given roots, a function building
+        their exact Jacobian, and the peak.  dzeros and dpoles build d root/dx
+        for the fitted parameters; num is the zeros' root product on z_all,
+        when it is known already."""
         if num is None:
             num = _root_product(z_all, zeros)
         mag = np.abs(num / _root_product(z_all, poles))
@@ -474,21 +446,33 @@ def design_ntf(target_sq, cfg):
         peak = float(mag_d[m])
 
         def jac():
-            rows = _log_mag_grad(np.append(z_in, z_dense[m]), *rts)
+            # each zero w adds ln|z - w| and each pole subtracts it, and
+            # d ln|z - w| / dx = Re(-(dw/dx) / (z - w))
+            z = np.append(z_in, z_dense[m])[:, None]
+            rows = np.hstack([np.real(-(1.0 / (z - zeros)) @ dzeros()),
+                              np.real((1.0 / (z - poles)) @ dpoles())])
             rows[:-1] *= 2.0 / np.log(10.0)
             # the penalty's slope pen_weight/cap * d peak/dx, at the peak bin
             rows[-1] *= pen_weight / cap * peak if peak > cap else 0.0
             return rows
         return np.append(fit, pen_weight * max(0.0, (peak - cap) / cap)), jac, peak
 
+    def zeros_at(angles):
+        """The zeros rho*e^(+-j*angle), then rho for odd order, and a function
+        building d zero / d angle."""
+        x = np.full(order, rho)
+        x[1::2] = angles
+        zeros, dzeros = _pair_roots(x, order)
+        # contiguous, since numpy's @ may pass a strided operand to its own loop, not BLAS
+        return zeros, lambda: dzeros()[:, 1::2].copy()
+
     # stage 1: poles only, zeros frozen at the carved placement
-    pairs = order // 2
-    pole_lo = np.array([0.0, 0.0] * pairs + ([0.0] if odd else []))
-    pole_hi = np.array([0.97, 0.6 * np.pi] * pairs + ([0.97] if odd else []))
-    zeros0, _ = _zeros_from_angles(zero_angles0, rho, odd)
-    frozen = (zeros0, np.zeros((zeros0.size, 0)))
+    pole_lo, pole_hi = np.zeros(order), np.full(order, 0.97)
+    pole_hi[1::2] = 0.6 * np.pi  # the pair angles; radii and a real pole stay below 0.97
+    zeros0 = zeros_at(zero_angles0)[0]
     num0 = _root_product(z_all, zeros0)
-    stage1 = _best_fit(lambda x: residual((*frozen, *_poles_from_params(x, order)), num0)[:2],
+    frozen = (zeros0, lambda: np.zeros((order, 0)))
+    stage1 = _best_fit(lambda x: residual(*frozen, *_pair_roots(x, order), num0)[:2],
                        _initial_pole_params(order, cfg), pole_lo, pole_hi)
     if stage1 is None:
         raise DesignInfeasibleError("pole optimization failed for all starting points",
@@ -496,20 +480,18 @@ def design_ntf(target_sq, cfg):
 
     # stage 2: polish zero angles jointly with the poles
     def joint(x):
-        return (*_zeros_from_angles(x[:n_zp], rho, odd),
-                *_poles_from_params(x[n_zp:], order))
+        return (*zeros_at(x[:pairs]), *_pair_roots(x[pairs:], order))
 
-    spread = (np.arange(n_zp) + 0.5) / max(n_zp, 1) * theta_b
-    best = _best_fit(lambda x: residual(joint(x))[:2],
+    spread = (np.arange(pairs) + 0.5) / max(pairs, 1) * theta_b
+    best = _best_fit(lambda x: residual(*joint(x))[:2],
                      [np.concatenate([angles, stage1[0]]) for angles in (zero_angles0, spread)],
-                     np.concatenate([np.zeros(n_zp), pole_lo]),
-                     np.concatenate([np.full(n_zp, theta_b), pole_hi]))
+                     np.concatenate([np.zeros(pairs), pole_lo]),
+                     np.concatenate([np.full(pairs, theta_b), pole_hi]))
     if best is None:
         raise DesignInfeasibleError("joint zero/pole polish failed", order=order)
 
     rts = joint(best[0])
-    ntf = RationalTf(rts[0], rts[2], 1.0)
-    f, _, peak = residual(rts)
+    f, _, peak = residual(*rts)
     rms_db = 10.0 * float(np.sqrt(np.mean(f[:-1] ** 2)))
     fitted = {"achieved_rms_db": rms_db, "peak_gain": peak, "order": order}
     if peak > cap * 1.01:
@@ -524,9 +506,7 @@ def design_ntf(target_sq, cfg):
             f"{rms_db:.2f} dB exceeds {_RMS_LIMIT_DB:.2f} dB",
             **fitted,
         )
-    if not ntf.is_stable():
-        raise DesignInfeasibleError("fitted NTF is unstable", **fitted)
-    return ntf
+    return RationalTf(rts[0], rts[2], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +633,7 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
     if reference is not None:
         predicted = np.interp(inband_grid.centers, reference.grid.centers, reference.values)
     else:
-        z = np.exp(2j * np.pi * fine_f[inband] / fs)
-        pred_fine = _quant_noise_level(cfg) * np.abs(ntf(z)) ** 2
+        pred_fine = ntf_quant_psd(ntf, cfg, est.grid).values[inband]
         predicted = _bin_average(fine_f[inband], pred_fine, inband_grid)
 
     per_bin = 10.0 * np.log10(measured / predicted)

@@ -120,6 +120,13 @@ class ChannelSpec:
         return to_db(self.signal.values) - to_db(self.noise.values)
 
 
+def _require_finite(**params):
+    """Raise ValueError naming the first non-finite keyword value."""
+    for name, value in params.items():
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def make_grid(f_lo, f_hi, num_bins):
     """Build a midpoint frequency grid over [f_lo, f_hi]."""
     return FrequencyGrid(float(f_lo), float(f_hi), num_bins)
@@ -133,6 +140,8 @@ def wireline_channel(grid, signal_level_0=0.0, signal_slope=0.0,
     signal_slope and noise_tilt are the total dB change across the band.  The
     SNR is monotone whenever signal_slope != noise_tilt.
     """
+    _require_finite(signal_level_0=signal_level_0, signal_slope=signal_slope,
+                    noise_floor=noise_floor, noise_tilt=noise_tilt)
     frac = (grid.centers - grid.f_lo) / grid.width
     sig_db = signal_level_0 + signal_slope * frac
     noi_db = noise_floor + noise_tilt * frac
@@ -151,11 +160,13 @@ def wireless_channel(grid, num_notches=3, notch_depth=30.0, notch_width=None,
     placed deterministically from the seed.  Each bump produces one SNR
     minimum roughly notch_depth dB below the inter-notch level.
     """
-    if num_notches < 0:
-        raise ValueError("num_notches must be >= 0")
     width = grid.width
     if notch_width is None:
         notch_width = width / (4.0 * max(num_notches, 1))
+    _require_finite(num_notches=num_notches, notch_depth=notch_depth,
+                    notch_width=notch_width, noise_floor=noise_floor)
+    if num_notches < 0:
+        raise ValueError("num_notches must be >= 0")
     if notch_width <= 0:
         raise ValueError("notch_width must be positive")
     if num_notches > 0 and 2.0 * notch_width * num_notches > width:
@@ -178,15 +189,15 @@ def wireless_channel(grid, num_notches=3, notch_depth=30.0, notch_width=None,
     return ChannelSpec(Psd(grid, sig), Psd(grid, noise))
 
 
-def estimate_psd(samples, sample_rate, segment_len, overlap_fraction=0.5):
+def estimate_psd(samples, sample_rate, segment_len):
     """Welch-averaged one-sided PSD of a real sequence, on a midpoint grid
     covering [0, sample_rate/2].
 
-    Periodic Hann window, no detrending; segments overlap by
-    overlap_fraction.  The estimate is Parseval-consistent: grid.delta *
-    sum(values) approximates the mean signal power.  The periodogram's
-    bin-edge samples (0, fs/L, ..., fs/2) are averaged pairwise onto the
-    midpoint grid, which preserves the trapezoidal power integral.
+    Periodic Hann window, no detrending; segments overlap by half.  The
+    estimate is Parseval-consistent: grid.delta * sum(values) approximates
+    the mean signal power.  The periodogram's bin-edge samples (0, fs/L,
+    ..., fs/2) are averaged pairwise onto the midpoint grid, which preserves
+    the trapezoidal power integral.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
@@ -196,12 +207,9 @@ def estimate_psd(samples, sample_rate, segment_len, overlap_fraction=0.5):
         raise ValueError("segment_len must be an even integer >= 2")
     if segment_len > x.size:
         raise ValueError("too few samples for the requested segment length")
-    if not 0.0 <= overlap_fraction < 1.0:
-        raise ValueError("overlap_fraction must be in [0, 1)")
 
-    hop = segment_len - int(overlap_fraction * segment_len)
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
-    segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::hop]
+    segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::segment_len // 2]
     spectra = np.fft.rfft(segments * window, axis=1)
     pxx = np.mean(spectra.real ** 2 + spectra.imag ** 2, axis=0)
     pxx /= sample_rate * float(np.sum(window ** 2))

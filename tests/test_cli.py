@@ -72,6 +72,20 @@ class TestShapeCommand:
         assert main(["shape", "--channel", "wireline", "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("channel, flag", [
+        ("wireless", "--notch-width"), ("wireless", "--notch-depth"),
+        ("wireless", "--noise-floor"), ("wireline", "--noise-floor"),
+        ("wireline", "--noise-tilt")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_generator_flag_rejected(self, tmp_path, capsys, channel, flag, value):
+        out = tmp_path / "d"
+        rc = main(["shape", "--channel", channel, f"{flag}={value}", "--power", "5e12",
+                   "--out", str(out)])
+        assert rc == 1
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {name} must be finite, got {value}\n"
+        assert not out.exists()
+
     def test_existing_out_dir_is_used(self, tmp_path):
         out = tmp_path / "d"
         out.mkdir()

@@ -457,6 +457,46 @@ class TestDesignNtf:
             fun(0.5 * (lo + hi))
             assert calls == [(points, cfg.order)] * sets
 
+    def test_root_derivatives_built_only_for_the_jacobian(self, dsm_fixture, monkeypatch):
+        # _bounded_lm also evaluates trial points it rejects, and only jac()
+        # reads d root/dx, so no other evaluation builds it
+        ch, budget, cfg = dsm_fixture
+        target = q.optimal_sq(ch.noise, budget).sq_opt
+        count = {"fun": 0, "jac": 0, "builds": 0, "outside_jac": 0}
+        in_jac = [False]
+        pair_roots, bounded_lm = ds._pair_roots, ds._bounded_lm
+
+        def counted_roots(x, order):
+            roots, droots = pair_roots(x, order)
+
+            def build():
+                count["builds"] += 1
+                count["outside_jac"] += not in_jac[0]
+                return droots()
+            return roots, build
+
+        def counted_lm(fun, x0, lo, hi):
+            def counted_fun(x):
+                count["fun"] += 1
+                f, jac = fun(x)
+
+                def counted_jac():
+                    count["jac"] += 1
+                    in_jac[0] = True
+                    try:
+                        return jac()
+                    finally:
+                        in_jac[0] = False
+                return f, counted_jac
+            return bounded_lm(counted_fun, x0, lo, hi)
+
+        monkeypatch.setattr(ds, "_pair_roots", counted_roots)
+        monkeypatch.setattr(ds, "_bounded_lm", counted_lm)
+        q.design_ntf(target, cfg)
+        assert count["jac"] < count["fun"]  # some trial points were rejected
+        assert count["builds"] >= count["jac"]
+        assert count["outside_jac"] == 0
+
     def test_infeasible_target_reports_achieved_error(self):
         fs = 4.8e9
         cfg = q.ModulatorConfig(order=2, osr=12.0, sample_rate=fs)

@@ -84,6 +84,13 @@ class TestWirelineChannel:
         with pytest.raises(ValueError, match="nonpositive noise"):
             q.wireline_channel(g, noise_floor=-4000.0, noise_tilt=0.0)
 
+    @pytest.mark.parametrize("name", ["signal_level_0", "signal_slope", "noise_floor",
+                                      "noise_tilt"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            q.wireline_channel(q.make_grid(0.0, 1e8, 16), **{name: value})
+
     def test_pure(self):
         g = q.make_grid(0.0, 1e8, 64)
         a = q.wireline_channel(g)
@@ -119,6 +126,13 @@ class TestWirelessChannel:
         c = q.wireless_channel(g, seed=8)
         assert not np.array_equal(a.noise.values, c.noise.values)
 
+    @pytest.mark.parametrize("name", ["num_notches", "notch_depth", "notch_width",
+                                      "noise_floor"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            q.wireless_channel(q.make_grid(0.0, 2e8, 16), **{name: value})
+
     def test_notches_exceeding_band_rejected(self):
         g = q.make_grid(0.0, 1e6, 64)
         with pytest.raises(ValueError, match="exceed the band"):
@@ -151,24 +165,19 @@ class TestEstimatePsd:
         assert np.mean(psd.values) == pytest.approx(expected, rel=0.10)
         assert psd.total_power() == pytest.approx(sigma2, rel=0.02)
 
-    @pytest.mark.parametrize("n, seg, overlap", [
-        (2 ** 15, 4096, 0.5), (10000, 256, 0.0), (5000, 64, 0.75), (4096, 4096, 0.5),
-        (999, 2, 0.3), (3001, 500, 0.25)])
-    def test_matches_scipy_welch(self, n, seg, overlap):
+    @pytest.mark.parametrize("n, seg", [
+        (2 ** 15, 4096), (10000, 256), (5000, 64), (4096, 4096), (999, 2), (3001, 500)])
+    def test_matches_scipy_welch(self, n, seg):
         x = np.random.default_rng(n).standard_normal(n) + 0.3
         fs = 3.7e9
-        _, pxx = sps.welch(x, fs=fs, window="hann", nperseg=seg, noverlap=int(overlap * seg),
+        _, pxx = sps.welch(x, fs=fs, window="hann", nperseg=seg, noverlap=seg // 2,
                            detrend=False, scaling="density")
-        psd = q.estimate_psd(x, fs, segment_len=seg, overlap_fraction=overlap)
+        psd = q.estimate_psd(x, fs, segment_len=seg)
         assert_allclose(psd.values, 0.5 * (pxx[:-1] + pxx[1:]), rtol=1e-12, atol=0.0)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="too few samples"):
             q.estimate_psd(np.zeros(100), 1.0, segment_len=256)
-
-    def test_invalid_overlap(self):
-        with pytest.raises(ValueError, match="overlap"):
-            q.estimate_psd(np.zeros(1024), 1.0, segment_len=256, overlap_fraction=1.0)
 
 
 class TestCsvRoundTrip:
