@@ -6,6 +6,8 @@ time-domain simulation of the single-loop modulator with an embedded
 mid-rise quantizer and unit feedback.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +190,9 @@ class ModulatorConfig:
     def __post_init__(self):
         _require_finite(osr=self.osr, sample_rate=self.sample_rate, step=self.step,
                         max_ntf_gain=self.max_ntf_gain)
+        # bool is an Integral, but True is no loop order
+        if isinstance(self.order, bool) or not isinstance(self.order, numbers.Integral):
+            raise ValueError(f"order must be an integer >= 1, got {self.order!r}")
         if self.order < 1:
             raise ValueError("order must be >= 1: an order-0 loop cannot shape noise")
         if self.osr < 2:
@@ -352,9 +357,15 @@ def _bounded_lm(fun, x0, lo, hi):
             grad, normal = jx.T @ f, jx.T @ jx
             scale = np.maximum(scale, np.diag(normal))
             free = ~(((x - lo <= near) & (grad > 0)) | ((hi - x <= near) & (grad < 0)))
-        step = np.zeros_like(x)
-        step[free] = np.linalg.solve(
-            normal[np.ix_(free, free)] + mu * np.diag(scale[free]), -grad[free])
+            all_free = bool(free.all())
+            # np.linalg.norm's own 1-D formula
+            x_norm = math.sqrt(x @ x)
+        if all_free:
+            step = np.linalg.solve(normal + mu * np.diag(scale), -grad)
+        else:
+            step = np.zeros_like(x)
+            step[free] = np.linalg.solve(
+                normal[np.ix_(free, free)] + mu * np.diag(scale[free]), -grad[free])
         step = np.clip(step, 0.995 * (lo - x), 0.995 * (hi - x))
         # a bound a few ulps away can still be reached by rounding: stay put
         step[(x + step <= lo) | (x + step >= hi)] = 0.0
@@ -363,7 +374,7 @@ def _bounded_lm(fun, x0, lo, hi):
         cost_new = 0.5 * float(f_new @ f_new)
         predicted = -float(grad @ step) - 0.5 * float(np.sum((jx @ step) ** 2))
         rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
-        short = np.linalg.norm(step) <= 1e-12 * (1e-12 + np.linalg.norm(x))
+        short = math.sqrt(step @ step) <= 1e-12 * (1e-12 + x_norm)
         if rho > 0:
             done = short or cost - cost_new <= 1e-12 * cost
             x, f, jac, cost = x + step, f_new, jac_new, cost_new

@@ -250,6 +250,15 @@ class TestModulatorConfig:
         with pytest.raises(ValueError, match="order"):
             q.ModulatorConfig(order=0)
 
+    @pytest.mark.parametrize("order", [4.0, 4.5, True, np.float64(4.0), "4"])
+    def test_non_integer_order_rejected(self, order):
+        # design_ntf would otherwise fail deep in numpy on a float degree
+        with pytest.raises(ValueError, match=r"^order must be an integer >= 1, got "):
+            q.ModulatorConfig(order=order)
+
+    def test_numpy_integer_order_accepted(self):
+        assert q.ModulatorConfig(order=np.int64(4)).order == 4
+
     def test_odd_levels_rejected(self):
         with pytest.raises(ValueError, match="even"):
             q.ModulatorConfig(quantizer_levels=3)

@@ -94,6 +94,50 @@ def test_saturating_input():
     assert sat > 0 and stable
 
 
+@pytest.mark.parametrize("dithered", [False, True])
+# this order-4 loop diverges at amplitude 3.0
+@pytest.mark.parametrize("order, amplitude", [(1, 3.0), (2, 3.0), (4, 2.0)])
+def test_saturating_input_every_mode(order, amplitude, dithered):
+    # outputs clipped at full scale, and each clip counted, in a run that
+    # stays stable
+    x, b, a, dither = _case(order, 4096, seed=5, amplitude=amplitude)
+    if not dithered:
+        dither = np.zeros(0)
+    _, _, sat, stable = _run_both(x, b, a, STEP, LEVELS, dither)
+    assert sat > 0 and stable
+
+
+def _integrator(n, dither):
+    """An integrator driven by DC beyond full scale, as in the test below:
+    it diverges well before 4096 samples.  Returns its kernel outputs and
+    stop sample, both checked against the reference."""
+    y, q, sat, stable = _run_both(np.full(n, 1.3), np.array([1.0]), np.array([-1.0]), STEP,
+                                  LEVELS, dither)
+    assert not stable
+    return y, q, sat, int(np.flatnonzero(y)[-1])
+
+
+def test_divergence_on_final_sample():
+    # the run that diverges on its last sample writes every sample and is
+    # still reported unstable
+    n = _integrator(4096, np.zeros(0))[3] + 1
+    y, q, _, stop = _integrator(n, np.zeros(0))
+    assert stop == n - 1 and np.all(y) and np.all(q)
+
+
+@pytest.mark.parametrize("dithered", [False, True])
+def test_saturations_counted_to_stop(dithered):
+    # the stop sample's clip counts and nothing after it does: the run cut
+    # after its stop sample clips as often
+    n = 4096
+    rng = np.random.default_rng(7)
+    dither = (rng.random(n) - rng.random(n)) * STEP if dithered else np.zeros(0)
+    _, _, sat, stop = _integrator(n, dither)
+    assert 0 < sat <= stop + 1 < n
+    _, _, sat_cut, stop_cut = _integrator(stop + 1, dither[:stop + 1])
+    assert (sat_cut, stop_cut) == (sat, stop)
+
+
 def test_divergence_freezes_output():
     # an integrator driven by DC beyond full scale winds up without bound:
     # the run stops at the sample whose update takes the next quantizer
