@@ -560,17 +560,54 @@ def simulate(h, cfg, input_samples, seed=0):
     )
 
 
-def _filter_fft(b, a, x):
+def _smooth_length(n):
+    """The smallest 2^a 3^b 5^c >= n (n >= 1): a length numpy's FFT runs at
+    full speed."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^a >= n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft_length(n, size, radius):
+    """_filter_fft's transform length for n samples of a stable filter with
+    size coefficients and largest pole radius 0 <= radius < 1.
+
+    The tail is the first k at which radius^k / (1 - radius) falls below
+    float64 epsilon (1299 at 0.97), and at least size, the whole response of
+    a filter whose poles sit at the origin.  The length is the smallest
+    5-smooth m >= max(n + min(tail, n), size).  Capping the tail at n bounds
+    the transform for a radius near 1, where the tail exceeds the record; the
+    error there is of the order of radius^n / (1 - radius).
+    """
+    tail = size
+    if radius > 0.0:
+        eps = np.finfo(float).eps
+        tail = max(size, math.floor(math.log(eps * (1.0 - radius)) / math.log(radius)) + 1)
+    return _smooth_length(max(n + min(tail, n), size))
+
+
+def _filter_fft(b, a, x, radius=None):
     """The causal filter b/a (equal-length coefficients in descending powers
     of z) applied to x from zero initial state, as a product of FFTs of
-    length m >= 2N.
+    length m = _fft_length(N, a.size, r).
 
-    Circular convolution at that length differs from the linear one only by
-    the impulse response's samples beyond N, of the order of r^N for the
-    largest pole radius r: below float64 rounding at r = 0.97, the largest
-    radius design_ntf allows, once N exceeds about 1300.
+    b/a must be stable; radius is its largest pole radius r, taken from the
+    roots of a when not given.  Circular convolution at length m differs
+    from the linear one only by the impulse response's samples from m - N
+    on, of the order of r^(m - N) / (1 - r): below float64 epsilon once
+    m - N reaches the tail (1299 samples at r = 0.97, the largest radius
+    design_ntf allows), and r^N / (1 - r) when the tail exceeds the record.
     """
-    m = 1 << int(max(2 * x.size, a.size) - 1).bit_length()
+    if radius is None:
+        radius = float(np.max(np.abs(np.roots(a)), initial=0.0))
+    m = _fft_length(x.size, a.size, radius)
     response = np.fft.rfft(b, m) / np.fft.rfft(a, m)
     return np.fft.irfft(np.fft.rfft(x, m) * response, m)[:x.size]
 
@@ -620,9 +657,17 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
     onto the comparison grid: inband_grid, else reference's grid (one of the
     two is required).  reference overrides the NTF-induced PSD as the
     analytic curve (e.g. to compare against a shaping target).
+
+    The STF is applied by _filter_fft at the length its largest pole radius
+    needs, taken from ntf.poles; an NTF with a pole on or outside the unit
+    circle raises ValueError naming that radius, since the FFT product would
+    then compute an anti-causal filter, not the loop's STF.
     """
     if not trace.stability_flag:
         raise ValueError("trace is from an unstable run; comparison is meaningless")
+    radius = float(np.max(np.abs(ntf.poles), initial=0.0))
+    if radius >= 1.0:
+        raise ValueError(f"tracking requires a stable NTF: largest pole radius {radius:.6g} >= 1")
     if inband_grid is None:
         if reference is None:
             raise ValueError("measured_vs_predicted needs inband_grid or reference")
@@ -630,7 +675,7 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
     fs = cfg.sample_rate
 
     num_ntf, den_ntf = _padded_coeffs(ntf)
-    shaped = trace.output - _filter_fft(den_ntf - num_ntf, den_ntf, trace.input)
+    shaped = trace.output - _filter_fft(den_ntf - num_ntf, den_ntf, trace.input, radius)
 
     # the loop's start-up transient; _min_tracking_samples follows this rule
     skip = min(_TRACKING_SEGMENT, shaped.size // 4)

@@ -1,5 +1,7 @@
+import bisect
 import contextlib
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +68,49 @@ def root_sets(draw):
     else:
         roots = draw(st.lists(value, min_size=n, max_size=n))
     return np.array(roots, dtype=complex)
+
+
+def tail_samples(radius, size):
+    """The first k at which radius^k / (1 - radius) falls below float64
+    epsilon, and at least size: found by counting, as the spec of
+    deltasigma._fft_length's tail."""
+    k = 0
+    while radius > 0.0 and radius ** k / (1.0 - radius) >= np.finfo(float).eps:
+        k += 1
+    return max(size, k)
+
+
+@st.composite
+def stable_filters(draw):
+    """(b, a, x): a random real stable filter of order 1-8 and a record of
+    64-8192 samples that holds its tail.  Pole pairs have radius <= 0.97 and
+    angles in disjoint sectors of (0, pi), plus one real pole for odd order:
+    clustered high-order poles leave the direct form ill-conditioned for
+    lfilter and the FFT alike (with all 8 poles at 0.97 they disagree by
+    5e-4), which would test conditioning, not the transform length.  A record
+    shorter than the tail is the capped case, tested on its own."""
+    order = draw(st.integers(1, 8))
+    pairs = order // 2
+    radius = st.floats(0.0, 0.97)
+    poles = []
+    for k in range(pairs):
+        r, frac = draw(radius), draw(st.floats(0.1, 0.9))
+        p = r * np.exp(1j * np.pi * (k + frac) / pairs)
+        poles += [p, p.conjugate()]
+    if order % 2:
+        poles.append(complex(draw(st.floats(-0.97, 0.97))))
+    zeros = []
+    for _ in range(pairs):
+        w = draw(st.complex_numbers(max_magnitude=1.5))
+        zeros += [w, w.conjugate()]
+    if order % 2:
+        zeros.append(complex(draw(st.floats(-1.5, 1.5))))
+    a = np.real(np.poly(poles))
+    b = draw(st.floats(0.1, 10.0)) * np.real(np.poly(zeros))
+    tail = tail_samples(float(np.max(np.abs(poles))), a.size)
+    n = draw(st.integers(max(64, tail), 8192))
+    x = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(n)
+    return b, a, x
 
 
 def captured_problems(monkeypatch, target, cfg):
@@ -743,3 +788,91 @@ class TestMeasuredVsPredicted:
         assert trace.saturation_count == 0
         rep = q.measured_vs_predicted(trace, ntf, cfg, inband_grid=grid)
         assert rep.rms_db_error < 1.0
+
+
+class TestFilterFft:
+    """_filter_fft's transform length follows the largest pole radius."""
+
+    @pytest.mark.parametrize("order", [4, 5, 6])
+    def test_dsm_design_length(self, dsm_fixture, monkeypatch, order):
+        ch, budget, cfg = dsm_fixture
+        ntf = q.design_ntf(q.optimal_sq(ch.noise, budget).sq_opt, replace(cfg, order=order))
+        num, den = ds._padded_coeffs(ntf)
+        radius = float(np.max(np.abs(ntf.poles)))
+        n = 2 ** 18
+        lengths = []
+        rfft = np.fft.rfft
+
+        def spy(a, n=None, *args, **kwargs):
+            lengths.append(n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", spy)
+        x = np.random.default_rng(order).standard_normal(n)
+        ds._filter_fft(den - num, den, x, radius)
+        ds._filter_fft(den - num, den, x)
+        assert len(set(lengths)) == 1
+        assert n + tail_samples(radius, den.size) <= lengths[0] < 2 ** 19
+
+    def test_cap_when_tail_exceeds_record(self):
+        # the STF (1 - r)/(z - r) of the NTF (z - 1)/(z - r): at r = 0.999 the
+        # tail (about 42900 samples) exceeds the 2^14-sample record
+        r, n = 0.999, 2 ** 14
+        b, a = np.array([0.0, 1.0 - r]), np.array([1.0, -r])
+        assert tail_samples(r, a.size) > n
+        m = ds._fft_length(n, a.size, r)
+        assert m == 2 * n
+        x = np.random.default_rng(9).standard_normal(n)
+        expect = sps.lfilter(b, a, x)
+        got = ds._filter_fft(b, a, x)
+        # h[k] = (1 - r) r^(k - 1): the wrapped samples, from m - n + 1 on,
+        # sum to r^(m - n), and the m-periodic response adds r^m / (1 - r^m)
+        bound = (r ** (m - n) + r ** m) / (1.0 - r ** m) * np.max(np.abs(x))
+        assert np.max(np.abs(got - expect)) <= bound + 1e-12 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("a", [np.array([1.0]), np.array([1.0, 0.0, 0.0, 0.0])],
+                             ids=["no-poles", "poles-at-origin"])
+    def test_fir_matches_lfilter_without_warning(self, a):
+        rng = np.random.default_rng(a.size)
+        b = rng.standard_normal(a.size)
+        x = rng.standard_normal(1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ds._filter_fft(b, a, x)
+            assert ds._fft_length(x.size, a.size, 0.0) == ds._smooth_length(x.size + a.size)
+        expect = sps.lfilter(b, a, x)
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_fir_ntf_tracking_without_warning(self):
+        # NTF (1 - z^-1)^2: both poles at the origin
+        ntf = q.RationalTf(np.array([1.0, 1.0], complex), np.array([0.0, 0.0], complex), 1.0)
+        cfg = q.ModulatorConfig(order=2, osr=12, sample_rate=1.0,
+                                quantizer_levels=16, step=0.125, dither=True)
+        trace = q.simulate(q.loop_from_ntf(ntf), cfg, np.zeros(2 ** 14), seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = q.measured_vs_predicted(trace, ntf, cfg,
+                                          inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16))
+        assert np.isfinite(rep.rms_db_error)
+
+    @pytest.mark.parametrize("pole, shown", [(1.2, "1.2"), (1.0, "1"), (-1.5, "1.5")])
+    def test_unstable_ntf_rejected(self, pole, shown):
+        cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0)
+        trace = q.simulate(zero_loop(), cfg, np.zeros(8192))
+        ntf = q.RationalTf(np.array([1.0], complex), np.array([pole], complex), 1.0)
+        with pytest.raises(ValueError, match=rf"stable NTF: largest pole radius {shown} >= 1"):
+            q.measured_vs_predicted(trace, ntf, cfg, inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16))
+
+    def test_smooth_length_matches_brute_force(self):
+        smooth = sorted(2 ** i * 3 ** j * 5 ** k
+                        for i in range(14) for j in range(9) for k in range(6))
+        for n in range(1, 5001):
+            assert ds._smooth_length(n) == smooth[bisect.bisect_left(smooth, n)], n
+
+    @settings(max_examples=40, deadline=None)
+    @given(stable_filters())
+    def test_matches_lfilter_for_stable_filters(self, filt):
+        b, a, x = filt
+        expect = sps.lfilter(b, a, x)
+        got = ds._filter_fft(b, a, x)
+        assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(expect))

@@ -8,7 +8,9 @@ fresh process, with its --out in a temporary directory.  Each line names the
 command, then gives its exit code, the sha256 of its stdout and stderr (the
 temporary directory's path replaced by OUT) and the sha256 of every file it
 wrote, so that a diff of two runs shows whether two versions of the package
-give byte-identical CLI output.  Run from the repository root:
+give byte-identical CLI output.  A simulate run's summary.txt hash is
+followed by its measured_vs_* tracking entries as written, so the diff also
+shows how far a tracking number moved.  Run from the repository root:
 
     PYTHONPATH=src python3 tools/cli_matrix.py > matrix.txt
 """
@@ -54,7 +56,11 @@ def fingerprint(argv):
             fields.append(f"{name}={_sha(data.replace(out.encode(), b'OUT'))}")
         for fname in sorted(os.listdir(out)) if os.path.isdir(out) else []:
             with open(os.path.join(out, fname), "rb") as fh:
-                fields.append(f"{fname}={_sha(fh.read())}")
+                data = fh.read()
+            fields.append(f"{fname}={_sha(data)}")
+            if fname == "summary.txt":
+                fields += [line for line in data.decode().splitlines()
+                           if line.startswith("measured_vs_")]
     return " ".join(fields)
 
 
