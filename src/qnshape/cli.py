@@ -41,6 +41,8 @@ def _set_params(args, params):
 
 
 def _validate(args):
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.channel.startswith("file:"):
         path = args.channel[5:]
         if not os.path.isfile(path):

@@ -99,17 +99,24 @@ class RationalTf:
     def order(self):
         return max(self.zeros.size, self.poles.size)
 
+    @property
+    def pole_radius(self):
+        """The largest |pole|, or 0 with no poles."""
+        return float(np.max(np.abs(self.poles), initial=0.0))
+
     def coeffs(self):
-        """(num, den) real coefficient arrays, descending powers of z."""
-        num = self.gain * (np.poly(self.zeros) if self.zeros.size else np.array([1.0]))
-        den = np.poly(self.poles) if self.poles.size else np.array([1.0])
-        return np.real(np.atleast_1d(num)), np.real(np.atleast_1d(den))
+        """(num, den) real coefficients in descending powers of z, the shorter
+        padded with leading zeros: a strictly proper numerator starts with 0."""
+        num = np.real(self.gain * (np.poly(self.zeros) if self.zeros.size else np.ones(1)))
+        den = np.real(np.poly(self.poles) if self.poles.size else np.ones(1))
+        length = max(num.size, den.size)
+        return np.pad(num, (length - num.size, 0)), np.pad(den, (length - den.size, 0))
 
     def is_monic(self):
         return self.zeros.size == self.poles.size and abs(self.gain - 1.0) <= 1e-9
 
     def is_stable(self):
-        return bool(np.all(np.abs(self.poles) < 1.0)) if self.poles.size else True
+        return self.pole_radius < 1.0
 
 
 def _strip_leading(c):
@@ -134,23 +141,15 @@ def _tf_from_num_den(num, den):
     return RationalTf(zeros, poles, num[0] / den[0])
 
 
-def _padded_coeffs(tf):
-    """tf's (num, den), the shorter one padded with leading zeros to equal
-    length, so both are in descending powers of z from the same power."""
-    num, den = tf.coeffs()
-    length = max(num.size, den.size)
-    return np.pad(num, (length - num.size, 0)), np.pad(den, (length - den.size, 0))
-
-
 def ntf_from_loop(h):
     """Noise transfer function 1/(1+H) of the unit-feedback loop."""
-    bn, ad = _padded_coeffs(h)
+    bn, ad = h.coeffs()
     return _tf_from_num_den(ad, ad + bn)
 
 
 def stf_from_loop(h):
     """Signal transfer function H/(1+H) of the unit-feedback loop."""
-    bn, ad = _padded_coeffs(h)
+    bn, ad = h.coeffs()
     return _tf_from_num_den(bn, ad + bn)
 
 
@@ -536,7 +535,7 @@ def simulate(h, cfg, input_samples, seed=0):
     x = np.ascontiguousarray(input_samples, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("input_samples must be finite")
-    bn, ad = _padded_coeffs(h)
+    bn, ad = h.coeffs()
     # an improper H pads its denominator, so ad[0] == 0: check before dividing
     scale = max(float(np.max(np.abs(bn))), float(np.max(np.abs(ad))))
     if ad[0] == 0.0 or abs(bn[0]) > 1e-9 * scale:
@@ -576,7 +575,7 @@ def _smooth_length(n):
 
 
 def _fft_length(n, size, radius):
-    """_filter_fft's transform length for n samples of a stable filter with
+    """_filter_stf's transform length for n samples of a stable filter with
     size coefficients and largest pole radius 0 <= radius < 1.
 
     The tail is the first k at which radius^k / (1 - radius) falls below
@@ -593,22 +592,20 @@ def _fft_length(n, size, radius):
     return _smooth_length(max(n + min(tail, n), size))
 
 
-def _filter_fft(b, a, x, radius=None):
-    """The causal filter b/a (equal-length coefficients in descending powers
-    of z) applied to x from zero initial state, as a product of FFTs of
-    length m = _fft_length(N, a.size, r).
+def _filter_stf(ntf, x):
+    """The loop's STF = 1 - NTF = (den - num)/den, for ntf.coeffs() = (num,
+    den), applied to x from zero initial state, as a product of FFTs of
+    length m = _fft_length(N, den.size, r) for ntf's pole radius r.
 
-    b/a must be stable; radius is its largest pole radius r, taken from the
-    roots of a when not given.  Circular convolution at length m differs
-    from the linear one only by the impulse response's samples from m - N
-    on, of the order of r^(m - N) / (1 - r): below float64 epsilon once
-    m - N reaches the tail (1299 samples at r = 0.97, the largest radius
-    design_ntf allows), and r^N / (1 - r) when the tail exceeds the record.
+    ntf must be stable.  Circular convolution at length m differs from the
+    linear one only by the impulse response's samples from m - N on, of the
+    order of r^(m - N) / (1 - r): below float64 epsilon once m - N reaches
+    the tail (1299 samples at r = 0.97, the largest radius design_ntf
+    allows), and r^N / (1 - r) when the tail exceeds the record.
     """
-    if radius is None:
-        radius = float(np.max(np.abs(np.roots(a)), initial=0.0))
-    m = _fft_length(x.size, a.size, radius)
-    response = np.fft.rfft(b, m) / np.fft.rfft(a, m)
+    num, den = ntf.coeffs()
+    m = _fft_length(x.size, den.size, ntf.pole_radius)
+    response = np.fft.rfft(den - num, m) / np.fft.rfft(den, m)
     return np.fft.irfft(np.fft.rfft(x, m) * response, m)[:x.size]
 
 
@@ -658,14 +655,14 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
     two is required).  reference overrides the NTF-induced PSD as the
     analytic curve (e.g. to compare against a shaping target).
 
-    The STF is applied by _filter_fft at the length its largest pole radius
-    needs, taken from ntf.poles; an NTF with a pole on or outside the unit
-    circle raises ValueError naming that radius, since the FFT product would
-    then compute an anti-causal filter, not the loop's STF.
+    The STF is applied by _filter_stf at the length ntf.pole_radius needs;
+    an NTF with a pole on or outside the unit circle raises ValueError
+    naming that radius, since the FFT product would then compute an
+    anti-causal filter, not the loop's STF.
     """
     if not trace.stability_flag:
         raise ValueError("trace is from an unstable run; comparison is meaningless")
-    radius = float(np.max(np.abs(ntf.poles), initial=0.0))
+    radius = ntf.pole_radius
     if radius >= 1.0:
         raise ValueError(f"tracking requires a stable NTF: largest pole radius {radius:.6g} >= 1")
     if inband_grid is None:
@@ -674,8 +671,7 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
         inband_grid = reference.grid
     fs = cfg.sample_rate
 
-    num_ntf, den_ntf = _padded_coeffs(ntf)
-    shaped = trace.output - _filter_fft(den_ntf - num_ntf, den_ntf, trace.input, radius)
+    shaped = trace.output - _filter_stf(ntf, trace.input)
 
     # the loop's start-up transient; _min_tracking_samples follows this rule
     skip = min(_TRACKING_SEGMENT, shaped.size // 4)

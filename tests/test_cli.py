@@ -395,6 +395,36 @@ class TestDeterminism:
         assert dir_bytes(out_a) == dir_bytes(out_b)
 
 
+class TestSeedValidation:
+    @pytest.mark.parametrize("argv, seed", [
+        (["capacity", "--channel", "wireless", "--seed", "-3"], -3),
+        (["simulate", "--channel", "wireline", "--bins", "64", "--fhi", "2e8",
+          "--power", "7.5e14", "--dither", "--seed", "-2"], -2),
+        # shape never draws from the seed, yet a negative one is still refused
+        (["shape", "--channel", "wireline", "--power", "2e12", "--seed", "-1"], -1),
+    ], ids=["capacity", "simulate", "shape"])
+    def test_negative_seed_rejected_before_work(self, tmp_path, capsys, monkeypatch,
+                                                argv, seed):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran")
+
+        for name in list(cli._COMMANDS):
+            monkeypatch.setitem(cli._COMMANDS, name, no_work)
+        out = tmp_path / "d"
+        assert main([*argv, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --seed must be a non-negative integer, got {seed}\n")
+        assert not out.exists()
+
+    def test_negative_seed_in_config_rejected(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("channel=wireline\nbins=16\npower=1e12\nseed=-4\n")
+        out = tmp_path / "d"
+        assert main(["partition", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -4\n"
+        assert not out.exists()
+
+
 class TestLibraryDefaults:
     """An unset generator or modulator flag takes the library's default, so
     spelling that default out on the command line changes no output byte."""

@@ -81,14 +81,16 @@ def tail_samples(radius, size):
 
 
 @st.composite
-def stable_filters(draw):
-    """(b, a, x): a random real stable filter of order 1-8 and a record of
-    64-8192 samples that holds its tail.  Pole pairs have radius <= 0.97 and
-    angles in disjoint sectors of (0, pi), plus one real pole for odd order:
-    clustered high-order poles leave the direct form ill-conditioned for
-    lfilter and the FFT alike (with all 8 poles at 0.97 they disagree by
-    5e-4), which would test conditioning, not the transform length.  A record
-    shorter than the tail is the capped case, tested on its own."""
+def stable_ntfs(draw):
+    """(ntf, x): a random monic stable NTF of order 1-8 with real
+    coefficients, and a record of 64-8192 samples that holds its tail.  Pole
+    pairs have radius <= 0.97 and angles in disjoint sectors of (0, pi), plus
+    one real pole for odd order: clustered high-order poles leave the direct
+    form ill-conditioned for lfilter and the FFT alike (with all 8 poles at
+    0.97 they disagree by 5e-4), which would test conditioning, not the
+    transform length.  The zeros are conjugate pairs of magnitude <= 1.5,
+    plus one real zero for odd order.  A record shorter than the tail is the
+    capped case, tested on its own."""
     order = draw(st.integers(1, 8))
     pairs = order // 2
     radius = st.floats(0.0, 0.97)
@@ -105,12 +107,11 @@ def stable_filters(draw):
         zeros += [w, w.conjugate()]
     if order % 2:
         zeros.append(complex(draw(st.floats(-1.5, 1.5))))
-    a = np.real(np.poly(poles))
-    b = draw(st.floats(0.1, 10.0)) * np.real(np.poly(zeros))
-    tail = tail_samples(float(np.max(np.abs(poles))), a.size)
+    ntf = q.RationalTf(np.array(zeros), np.array(poles), 1.0)
+    tail = tail_samples(float(np.max(np.abs(poles))), order + 1)
     n = draw(st.integers(max(64, tail), 8192))
     x = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(n)
-    return b, a, x
+    return ntf, x
 
 
 def captured_problems(monkeypatch, target, cfg):
@@ -139,6 +140,24 @@ class TestRationalTf:
         num, den = tf.coeffs()
         assert_allclose(num, [1.0, -1.0])
         assert_allclose(den, [1.0, 0.0])
+
+    def test_coeffs_padded_to_equal_length(self):
+        # strictly proper: the numerator starts with leading zeros
+        tf = q.RationalTf(np.array([0.5 + 0j]), np.array([0.2, 0.3 + 0.4j, 0.3 - 0.4j]), 2.0)
+        num, den = tf.coeffs()
+        assert_array_equal(num, [0.0, 0.0, 2.0, -1.0])
+        assert_array_equal(den, np.real(np.poly([0.2, 0.3 + 0.4j, 0.3 - 0.4j])))
+        # more zeros than poles: the denominator is padded instead
+        num, den = q.RationalTf(np.array([0.5, 0.25], complex), np.array([], complex), 1.0).coeffs()
+        assert_array_equal(den, [0.0, 0.0, 1.0])
+        assert_allclose(num, [1.0, -0.75, 0.125])
+
+    def test_pole_radius(self):
+        assert q.RationalTf(np.array([1.0], complex), np.array([], complex), 1.0).pole_radius == 0.0
+        tf = q.RationalTf(np.array([], complex), np.array([-0.9, 0.3 + 0.4j, 0.3 - 0.4j]), 1.0)
+        assert tf.pole_radius == 0.9
+        assert tf.is_stable()
+        assert not q.RationalTf(np.array([], complex), np.array([1.0], complex), 1.0).is_stable()
 
     def test_file_round_trip(self, tmp_path):
         tf = q.RationalTf(np.array([0.9 + 0.3j, 0.9 - 0.3j]),
@@ -362,8 +381,8 @@ class TestSimulate:
         x = rng.standard_normal(4096) * 0.1
         trace = q.simulate(h, cfg, x, seed=3)
         assert trace.stability_flag
-        num_n, den_n = ds._padded_coeffs(ntf)
-        num_s, den_s = ds._padded_coeffs(q.stf_from_loop(h))
+        num_n, den_n = ntf.coeffs()
+        num_s, den_s = q.stf_from_loop(h).coeffs()
         expect = (sps.lfilter(num_s, den_s, x)
                   + sps.lfilter(num_n, den_n, trace.quantizer_error))
         assert np.max(np.abs(trace.output - expect)) < 1e-9
@@ -732,7 +751,7 @@ class TestMeasuredVsPredicted:
         num, den = ntf.coeffs()
         x = np.random.default_rng(order).standard_normal(2 ** 14)
         expect = sps.lfilter(den - num, den, x)
-        got = ds._filter_fft(den - num, den, x)
+        got = ds._filter_stf(ntf, x)
         assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(expect))
 
     def test_unit_ntf_white_floor(self):
@@ -791,13 +810,13 @@ class TestMeasuredVsPredicted:
 
 
 class TestFilterFft:
-    """_filter_fft's transform length follows the largest pole radius."""
+    """_filter_stf's transform length follows the largest pole radius."""
 
     @pytest.mark.parametrize("order", [4, 5, 6])
     def test_dsm_design_length(self, dsm_fixture, monkeypatch, order):
         ch, budget, cfg = dsm_fixture
         ntf = q.design_ntf(q.optimal_sq(ch.noise, budget).sq_opt, replace(cfg, order=order))
-        num, den = ds._padded_coeffs(ntf)
+        den = ntf.coeffs()[1]
         radius = float(np.max(np.abs(ntf.poles)))
         n = 2 ** 18
         lengths = []
@@ -809,8 +828,7 @@ class TestFilterFft:
 
         monkeypatch.setattr(np.fft, "rfft", spy)
         x = np.random.default_rng(order).standard_normal(n)
-        ds._filter_fft(den - num, den, x, radius)
-        ds._filter_fft(den - num, den, x)
+        ds._filter_stf(ntf, x)
         assert len(set(lengths)) == 1
         assert n + tail_samples(radius, den.size) <= lengths[0] < 2 ** 19
 
@@ -818,29 +836,34 @@ class TestFilterFft:
         # the STF (1 - r)/(z - r) of the NTF (z - 1)/(z - r): at r = 0.999 the
         # tail (about 42900 samples) exceeds the 2^14-sample record
         r, n = 0.999, 2 ** 14
-        b, a = np.array([0.0, 1.0 - r]), np.array([1.0, -r])
-        assert tail_samples(r, a.size) > n
-        m = ds._fft_length(n, a.size, r)
+        ntf = q.RationalTf(np.array([1.0], complex), np.array([r], complex), 1.0)
+        num, den = ntf.coeffs()
+        assert_array_equal(den - num, [0.0, 1.0 - r])
+        assert tail_samples(r, den.size) > n
+        m = ds._fft_length(n, den.size, r)
         assert m == 2 * n
         x = np.random.default_rng(9).standard_normal(n)
-        expect = sps.lfilter(b, a, x)
-        got = ds._filter_fft(b, a, x)
+        expect = sps.lfilter(den - num, den, x)
+        got = ds._filter_stf(ntf, x)
         # h[k] = (1 - r) r^(k - 1): the wrapped samples, from m - n + 1 on,
         # sum to r^(m - n), and the m-periodic response adds r^m / (1 - r^m)
         bound = (r ** (m - n) + r ** m) / (1.0 - r ** m) * np.max(np.abs(x))
         assert np.max(np.abs(got - expect)) <= bound + 1e-12 * np.max(np.abs(expect))
 
-    @pytest.mark.parametrize("a", [np.array([1.0]), np.array([1.0, 0.0, 0.0, 0.0])],
-                             ids=["no-poles", "poles-at-origin"])
-    def test_fir_matches_lfilter_without_warning(self, a):
-        rng = np.random.default_rng(a.size)
-        b = rng.standard_normal(a.size)
+    @pytest.mark.parametrize("order", [0, 3], ids=["no-poles", "poles-at-origin"])
+    def test_fir_matches_lfilter_without_warning(self, order):
+        # real zeros over poles at the origin, at a gain that is not 1, so the
+        # STF 1 - NTF keeps every coefficient
+        rng = np.random.default_rng(order + 1)
+        ntf = q.RationalTf(rng.standard_normal(order).astype(complex),
+                           np.zeros(order, complex), rng.uniform(2.0, 3.0))
+        num, den = ntf.coeffs()
         x = rng.standard_normal(1000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = ds._filter_fft(b, a, x)
-            assert ds._fft_length(x.size, a.size, 0.0) == ds._smooth_length(x.size + a.size)
-        expect = sps.lfilter(b, a, x)
+            got = ds._filter_stf(ntf, x)
+            assert ds._fft_length(x.size, den.size, 0.0) == ds._smooth_length(x.size + den.size)
+        expect = sps.lfilter(den - num, den, x)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_fir_ntf_tracking_without_warning(self):
@@ -870,9 +893,10 @@ class TestFilterFft:
             assert ds._smooth_length(n) == smooth[bisect.bisect_left(smooth, n)], n
 
     @settings(max_examples=40, deadline=None)
-    @given(stable_filters())
-    def test_matches_lfilter_for_stable_filters(self, filt):
-        b, a, x = filt
-        expect = sps.lfilter(b, a, x)
-        got = ds._filter_fft(b, a, x)
+    @given(stable_ntfs())
+    def test_matches_lfilter_for_stable_filters(self, drawn):
+        ntf, x = drawn
+        num, den = ntf.coeffs()
+        expect = sps.lfilter(den - num, den, x)
+        got = ds._filter_stf(ntf, x)
         assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(expect))

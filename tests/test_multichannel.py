@@ -127,6 +127,33 @@ class TestPerBandShaping:
             assert concat.size == ch.grid.num_bins
             assert_allclose(concat, global_res.sq_opt.values, rtol=1e-9)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), bins=st.integers(16, 256), n=st.integers(1, 8),
+           log_ratio=st.floats(-6.0, -2.0))
+    def test_concatenation_equals_global_property(self, seed, bins, n, log_ratio):
+        # the budget puts the closed form's max Sq/Sv at 10^log_ratio: Sq is
+        # Sv^(2/3) s^2 with s = delta * sum(Sv^(-1/3)) / (sqrt(12) P)
+        g = q.make_grid(0.0, 1e8, bins)
+        noise = random_smooth_psd(g, np.random.default_rng(seed))
+        inv_cbrt = noise.values ** (-1.0 / 3.0)
+        s = np.sqrt(10.0 ** log_ratio / np.max(inv_cbrt))
+        budget = q.PowerBudget(g.delta * float(np.sum(inv_cbrt)) / (np.sqrt(12.0) * s))
+        global_sq = q.optimal_sq(noise, budget).sq_opt.values
+        plans = [q.partition_equal_power(noise, budget, n),
+                 q.partition_constrained(noise, budget, n, mode="equal-bandwidth"),
+                 q.partition_constrained(noise, budget, n, mode="integer-ratio")]
+        for plan in plans:
+            try:
+                results = q.per_band_shaping(noise, plan)
+            except ValueError as exc:
+                # snapping to bin boundaries merges edges only around a band
+                # no wider than one bin
+                assert "bands collapse" in str(exc)
+                assert np.min(np.diff(plan.edges)) <= g.delta
+                continue
+            concat = np.concatenate([r.sq_opt.values for r in results])
+            assert_allclose(concat, global_sq, rtol=1e-12, atol=0.0)
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_deliberately_unequal_split_is_worse(self, wireline_fixture):
         # hook: bin-aligned uniform edges with naive equal budgets are used

@@ -186,8 +186,8 @@ class TestNumericalOptimizer:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=60, deadline=None)
     @given(log_sv=arrays(float, st.integers(1, 300), elements=st.floats(-12.0, -3.0)),
-           log_w=st.floats(3.0, 9.0), log_p=st.floats(2.0, 14.0))
-    def test_exact_solve_properties(self, log_sv, log_w, log_p):
+           log_w=st.floats(3.0, 9.0), log_p=st.floats(2.0, 14.0), data=st.data())
+    def test_exact_solve_properties(self, log_sv, log_w, log_p, data):
         k = log_sv.size
         g = q.make_grid(0.0, 10.0 ** log_w, k)
         sv = 10.0 ** log_sv
@@ -201,6 +201,13 @@ class TestNumericalOptimizer:
         assert_allclose(stationary, stationary[0], rtol=1e-9, atol=0.0)
         closed = q.optimal_sq(ch.noise, budget)
         assert res.info_loss <= closed.info_loss * (1.0 + 1e-12)
+        # any other shape, scaled to the same power (Sq * g^2 has power p / g),
+        # loses at least as much
+        shape = 10.0 ** data.draw(arrays(float, k, elements=st.floats(-3.0, 3.0)),
+                                  label="log_shape")
+        scale = q.power_of_sq(q.Psd(g, shape)).p / budget.p
+        other = q.Psd(g, shape * scale ** 2)
+        assert res.info_loss <= q.info_loss(ch.noise, other) * (1.0 + 1e-12)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=30, deadline=None)

@@ -1,35 +1,78 @@
 """Run a fixed set of qnshape CLI commands and print a fingerprint of each.
 
-The set is the README's shape, partition and simulate examples, then
-simulate --save-trace on the README's wireless channel at orders 4, 5 and 6
-with and without --dither, on a 2-level quantizer with step 1.0 (the
-modulator diverges) and at +6 dBFS (it saturates).  Each command runs in a
-fresh process, with its --out in a temporary directory.  Each line names the
-command, then gives its exit code, the sha256 of its stdout and stderr (the
-temporary directory's path replaced by OUT) and the sha256 of every file it
-wrote, so that a diff of two runs shows whether two versions of the package
-give byte-identical CLI output.  A simulate run's summary.txt hash is
-followed by its measured_vs_* tracking entries as written, so the diff also
-shows how far a tracking number moved.  Run from the repository root:
+The set is the README's shape, partition and simulate examples; partition
+in integer-ratio mode with 6 bands and in equal-bandwidth mode; the command
+forms that the benchmark's cli-flow workload runs on input files (shape and
+capacity --sq on a channel file, partition --config); then simulate
+--save-trace on the README's wireless channel at orders 4, 5 and 6 with and
+without --dither, on a 2-level quantizer with step 1.0 (the modulator
+diverges) and at +6 dBFS (it saturates).  The channel, quantization PSD and
+config files are written from fixed text that this script computes itself,
+not by qnshape's writers, so the inputs do not depend on the package under
+test.  Each command runs in a fresh process, with its --out in a temporary
+directory.  Each line names the command, then gives its exit code, the
+sha256 of its stdout and stderr (the temporary directories' paths replaced
+by OUT and IN) and the sha256 of every file it wrote, so that a diff of two
+runs shows whether two versions of the package give byte-identical CLI
+output.  A simulate run's summary.txt hash is followed by its measured_vs_*
+tracking entries as written, so the diff also shows how far a tracking
+number moved.  Run from the repository root:
 
     PYTHONPATH=src python3 tools/cli_matrix.py > matrix.txt
 """
 
 import hashlib
+import math
 import os
 import subprocess
 import sys
 import tempfile
 
 
-def commands():
-    """(name, argv) for each command of the matrix."""
+def write_inputs(folder):
+    """Write channel.csv, sq.csv and partition.cfg into folder and return
+    their paths.  The channel has 256 bins to 2e8 Hz, a flat unit signal and
+    a -80 dB noise floor with three 30 dB raised-cosine bumps; the
+    quantization PSD is 1e-2 * noise^(2/3) * min(noise)^(1/3), at most a
+    hundredth of the noise; the config is a wireline partition into 4 bands."""
+    bins, f_hi = 256, 2e8
+    delta = f_hi / bins
+    freqs = [(k + 0.5) * delta for k in range(bins)]
+    noise = []
+    for f in freqs:
+        db = -80.0
+        for i in range(3):
+            u = (f - (i + 0.5) * f_hi / 3) / (f_hi / 12)
+            if abs(u) < 1.0:
+                db += 30.0 * 0.5 * (1.0 + math.cos(math.pi * u))
+        noise.append(10.0 ** (db / 10.0))
+    floor = min(noise) ** (1.0 / 3.0)
+    paths = [os.path.join(folder, name) for name in ("channel.csv", "sq.csv", "partition.cfg")]
+    with open(paths[0], "w", encoding="utf-8") as fh:
+        fh.write("frequency_hz,signal_psd,noise_psd\n")
+        fh.writelines(f"{f!r},1.0,{v!r}\n" for f, v in zip(freqs, noise))
+    with open(paths[1], "w", encoding="utf-8") as fh:
+        fh.write("frequency_hz,psd\n")
+        fh.writelines(f"{f!r},{1e-2 * v ** (2.0 / 3.0) * floor!r}\n" for f, v in zip(freqs, noise))
+    with open(paths[2], "w", encoding="utf-8") as fh:
+        fh.write("channel=wireline\nbins=256\npower=2e12\nn=4\nseed=7\n")
+    return paths
+
+
+def commands(channel_csv, sq_csv, config):
+    """(name, argv) for each command of the matrix, given the input files."""
     wireline = ["--channel", "wireline", "--bins", "256", "--power", "2e12"]
     wireless = ["--channel", "wireless", "--bins", "64", "--fhi", "2e8", "--notches", "1",
                 "--notch-depth", "12", "--notch-width", "6e7", "--power", "7.5e14"]
     runs = [
         ("shape", ["shape", *wireline]),
         ("partition", ["partition", *wireline, "--n", "4"]),
+        ("partition-integer-ratio-n6", ["partition", *wireline, "--mode", "integer-ratio",
+                                        "--n", "6"]),
+        ("partition-equal-bandwidth", ["partition", *wireline, "--mode", "equal-bandwidth"]),
+        ("shape-file", ["shape", "--channel", f"file:{channel_csv}", "--power", "5e12"]),
+        ("capacity-file-sq", ["capacity", "--channel", f"file:{channel_csv}", "--sq", sq_csv]),
+        ("partition-config", ["partition", "--config", config]),
         ("simulate", ["simulate", *wireless, "--order", "4", "--osr", "12", "--dither"]),
     ]
     trace = ["simulate", *wireless, "--save-trace"]
@@ -45,15 +88,17 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def fingerprint(argv):
-    """Exit code, stdout and stderr hashes, and per-file hashes of one run."""
+def fingerprint(argv, inputs):
+    """Exit code, stdout and stderr hashes, and per-file hashes of one run;
+    inputs is the folder that holds the input files."""
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
         proc = subprocess.run([sys.executable, "-m", "qnshape.cli", *argv, "--out", out],
                               capture_output=True, check=False)
         fields = [f"exit={proc.returncode}"]
         for name, data in (("stdout", proc.stdout), ("stderr", proc.stderr)):
-            fields.append(f"{name}={_sha(data.replace(out.encode(), b'OUT'))}")
+            data = data.replace(out.encode(), b"OUT").replace(inputs.encode(), b"IN")
+            fields.append(f"{name}={_sha(data)}")
         for fname in sorted(os.listdir(out)) if os.path.isdir(out) else []:
             with open(os.path.join(out, fname), "rb") as fh:
                 data = fh.read()
@@ -65,8 +110,9 @@ def fingerprint(argv):
 
 
 def main():
-    for name, argv in commands():
-        print(f"{name} {fingerprint(argv)}", flush=True)
+    with tempfile.TemporaryDirectory() as inputs:
+        for name, argv in commands(*write_inputs(inputs)):
+            print(f"{name} {fingerprint(argv, inputs)}", flush=True)
 
 
 if __name__ == "__main__":
