@@ -33,31 +33,40 @@ class DesignInfeasibleError(RuntimeError):
 
 
 def _root_product(z, roots):
-    """prod_k (z - roots[k]) at each point of z; 1 where there are no roots.
+    """prod_k (z - roots[..., k]) at each point of z, for one root set of
+    shape (n,) or a stack of them, (sets, n); 1 where there are no roots.
+    The result has shape roots.shape[:-1] + z.shape, one row per set.  z is
+    a complex array, or its (real, imag) planes as a pair of contiguous
+    float arrays, which a caller that evaluates many root sets on one grid
+    splits once.
 
     The factors are multiplied in one at a time, in real arithmetic:
     (re, im) <- (re*er - im*ei, re*ei + im*er) for each factor er + j*ei,
-    starting from z - roots[0].  Those are the float operations, unfused,
-    that numpy's complex product reduction performs, so the result is bit
-    for bit that of np.prod(z[:, None] - roots[None, :], axis=1), the
-    reference the tests hold it to, without the (points x roots) broadcast.
-    A complex ``out *= z - r`` loop is not: numpy's SIMD complex multiply
-    may fuse its operations with FMA, which rounds differently.
+    starting from z - roots[..., 0].  Those are the float operations,
+    unfused, that numpy's complex product reduction performs, so each row
+    is bit for bit that of np.prod(z[:, None] - roots[None, :], axis=1) for
+    its set, the reference the tests hold it to, without the
+    (points x roots) broadcast.  A complex ``out *= z - r`` loop is not:
+    numpy's SIMD complex multiply may fuse its operations with FMA, which
+    rounds differently.
     """
-    out = np.ones(z.shape, dtype=complex)
-    if roots.size:
-        zr, zi = z.real.copy(), z.imag.copy()
-        re, im = zr - roots[0].real, zi - roots[0].imag
-        er, ei, t = np.empty_like(zr), np.empty_like(zr), np.empty_like(zr)
-        for r in roots[1:]:
-            np.subtract(zr, r.real, out=er)
-            np.subtract(zi, r.imag, out=ei)
-            np.multiply(re, ei, out=t)
-            re *= er
-            re -= np.multiply(im, ei, out=ei)
-            im *= er
-            im += t
-        out.real, out.imag = re, im
+    zr, zi = z if isinstance(z, tuple) else (z.real.copy(), z.imag.copy())
+    if not roots.shape[-1]:
+        return np.ones(roots.shape[:-1] + zr.shape, dtype=complex)
+    # factor k's parts, shaped to broadcast each set along its own row
+    rr, ri = roots.real.T[..., None], roots.imag.T[..., None]
+    re, im = zr - rr[0], zi - ri[0]
+    er, ei, t = np.empty_like(re), np.empty_like(re), np.empty_like(re)
+    for a, b in zip(rr[1:], ri[1:]):
+        np.subtract(zr, a, out=er)
+        np.subtract(zi, b, out=ei)
+        np.multiply(re, ei, out=t)
+        re *= er
+        re -= np.multiply(im, ei, out=ei)
+        im *= er
+        im += t
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
     return out
 
 
@@ -329,6 +338,16 @@ def _initial_pole_params(order, cfg):
     return starts
 
 
+def _plus_diagonal(a, d):
+    """a + np.diag(d) for a square a, bit for bit: the same sums, without
+    np.diag's Python-level wrapper."""
+    out = np.zeros(a.size)
+    out[::d.size + 1] = d
+    out = out.reshape(a.shape)
+    out += a
+    return out
+
+
 def _bounded_lm(fun, x0, lo, hi):
     """Minimize 0.5*|f(x)|^2 over the box lo < x < hi by Levenberg-Marquardt
     (Moré, "The Levenberg-Marquardt algorithm: implementation and theory",
@@ -343,35 +362,38 @@ def _bounded_lm(fun, x0, lo, hi):
     0 would stall there, since d|NTF|/d phi = 0 at phi = 0.)  Stops when an
     accepted step lowers the cost by at most 1e-12 of it, when a step is
     shorter than 1e-12 relative to x, or after 500 evaluations of fun.
-    Returns (x, cost)."""
+    Returns (x, cost).  The loop calls ufuncs and array methods rather than
+    numpy's Python-level wrappers; each float operation is the one the
+    wrapper would perform."""
     x = np.array(x0, dtype=float)
     f, jac = fun(x)
     cost, nfev = 0.5 * float(f @ f), 1
-    mu, nu, scale = 1e-2, 2.0, np.zeros_like(x)
+    mu, nu, scale = 1e-2, 2.0, np.zeros(x.size)
     near = _BOUND_HOLD * (hi - lo)
     new_point = True
     while nfev < 500:
         if new_point:
             jx = jac()
             grad, normal = jx.T @ f, jx.T @ jx
-            scale = np.maximum(scale, np.diag(normal))
+            scale = np.maximum(scale, normal.diagonal())
             free = ~(((x - lo <= near) & (grad > 0)) | ((hi - x <= near) & (grad < 0)))
             all_free = bool(free.all())
             # np.linalg.norm's own 1-D formula
             x_norm = math.sqrt(x @ x)
         if all_free:
-            step = np.linalg.solve(normal + mu * np.diag(scale), -grad)
+            step = np.linalg.solve(_plus_diagonal(normal, mu * scale), -grad)
         else:
-            step = np.zeros_like(x)
+            step = np.zeros(x.size)
             step[free] = np.linalg.solve(
-                normal[np.ix_(free, free)] + mu * np.diag(scale[free]), -grad[free])
-        step = np.clip(step, 0.995 * (lo - x), 0.995 * (hi - x))
+                _plus_diagonal(normal[free][:, free], mu * scale[free]), -grad[free])
+        # np.clip's minimum(maximum(...)) on finite values
+        step = np.minimum(np.maximum(step, 0.995 * (lo - x)), 0.995 * (hi - x))
         # a bound a few ulps away can still be reached by rounding: stay put
         step[(x + step <= lo) | (x + step >= hi)] = 0.0
         f_new, jac_new = fun(x + step)
         nfev += 1
         cost_new = 0.5 * float(f_new @ f_new)
-        predicted = -float(grad @ step) - 0.5 * float(np.sum((jx @ step) ** 2))
+        predicted = -float(grad @ step) - 0.5 * float(((jx @ step) ** 2).sum())
         rho = (cost - cost_new) / predicted if predicted > 0 else -1.0
         short = math.sqrt(step @ step) <= 1e-12 * (1e-12 + x_norm)
         if rho > 0:
@@ -413,8 +435,9 @@ def design_ntf(target_sq, cfg):
     polish of zero angles and poles (zero radii stay on the fixed shallow
     rule).  Each stage keeps the best of its starts (_best_fit), fitted on
     the exact Jacobian from d ln|NTF| / d root.  Each residual evaluation
-    takes one root product per root set over the in-band and peak grids
-    together; stage 1 multiplies its frozen zeros out once per design.
+    takes one root product over the in-band and peak grids together, for
+    the zeros and poles stacked; stage 1 multiplies its frozen zeros out
+    once per design and its poles alone at each evaluation.
     Raises DesignInfeasibleError (with the in-band RMS error and peak gain)
     when the fit exceeds the gain cap by over 1% or misses the target by
     over _RMS_LIMIT_DB RMS.
@@ -433,9 +456,14 @@ def design_ntf(target_sq, cfg):
 
     z_in = np.exp(2j * np.pi * target_sq.grid.centers / fs)
     z_dense = np.exp(1j * np.linspace(0.0, np.pi, _PEAK_GRID))
-    # one root product per root set covers the fit rows and the peak grid
+    # one root product covers the fit rows and the peak grid, on planes
+    # split once per design
     z_all = np.concatenate([z_in, z_dense])
+    planes = (z_all.real.copy(), z_all.imag.copy())
     n_in = z_in.size
+    # the Jacobian's points: the fit rows, then the peak bin, set per call
+    z_jac = np.append(z_in, 0j)[:, None]
+    to_log10_sq = 2.0 / np.log(10.0)
 
     c0 = _quant_noise_level(cfg)
     log_target = np.log10(target_sq.values)
@@ -448,29 +476,35 @@ def design_ntf(target_sq, cfg):
         for the fitted parameters; num is the zeros' root product on z_all,
         when it is known already."""
         if num is None:
-            num = _root_product(z_all, zeros)
-        mag = np.abs(num / _root_product(z_all, poles))
-        fit = np.log10(c0 * mag[:n_in] ** 2) - log_target
+            num, den = _root_product(planes, np.array((zeros, poles)))
+        else:
+            den = _root_product(planes, poles)
+        mag = np.abs(num / den)
+        f = np.empty(n_in + 1)
+        np.subtract(np.log10(c0 * mag[:n_in] ** 2), log_target, out=f[:n_in])
         mag_d = mag[n_in:]
-        m = int(np.argmax(mag_d))
+        m = int(mag_d.argmax())
         peak = float(mag_d[m])
+        f[n_in] = pen_weight * max(0.0, (peak - cap) / cap)
 
         def jac():
             # each zero w adds ln|z - w| and each pole subtracts it, and
             # d ln|z - w| / dx = Re(-(dw/dx) / (z - w))
-            z = np.append(z_in, z_dense[m])[:, None]
-            rows = np.hstack([np.real(-(1.0 / (z - zeros)) @ dzeros()),
-                              np.real((1.0 / (z - poles)) @ dpoles())])
-            rows[:-1] *= 2.0 / np.log(10.0)
+            z_jac[n_in] = z_dense[m]
+            rows = np.concatenate(((-(1.0 / (z_jac - zeros)) @ dzeros()).real,
+                                   ((1.0 / (z_jac - poles)) @ dpoles()).real), axis=1)
+            rows[:-1] *= to_log10_sq
             # the penalty's slope pen_weight/cap * d peak/dx, at the peak bin
             rows[-1] *= pen_weight / cap * peak if peak > cap else 0.0
             return rows
-        return np.append(fit, pen_weight * max(0.0, (peak - cap) / cap)), jac, peak
+        return f, jac, peak
+
+    radii = np.full(order, rho)
 
     def zeros_at(angles):
         """The zeros rho*e^(+-j*angle), then rho for odd order, and a function
         building d zero / d angle."""
-        x = np.full(order, rho)
+        x = radii.copy()
         x[1::2] = angles
         zeros, dzeros = _pair_roots(x, order)
         # contiguous, since numpy's @ may pass a strided operand to its own loop, not BLAS
@@ -480,7 +514,7 @@ def design_ntf(target_sq, cfg):
     pole_lo, pole_hi = np.zeros(order), np.full(order, 0.97)
     pole_hi[1::2] = 0.6 * np.pi  # the pair angles; radii and a real pole stay below 0.97
     zeros0 = zeros_at(zero_angles0)[0]
-    num0 = _root_product(z_all, zeros0)
+    num0 = _root_product(planes, zeros0)
     frozen = (zeros0, lambda: np.zeros((order, 0)))
     stage1 = _best_fit(lambda x: residual(*frozen, *_pair_roots(x, order), num0)[:2],
                        _initial_pole_params(order, cfg), pole_lo, pole_hi)
@@ -575,38 +609,79 @@ def _smooth_length(n):
 
 
 def _fft_length(n, size, radius):
-    """_filter_stf's transform length for n samples of a stable filter with
-    size coefficients and largest pole radius 0 <= radius < 1.
+    """_filter_stf's block length L and transform length m for n samples of a
+    stable filter whose largest pole radius is 0 <= radius < 1 and whose
+    impulse response has size samples when its poles sit at the origin.
 
     The tail is the first k at which radius^k / (1 - radius) falls below
-    float64 epsilon (1299 at 0.97), and at least size, the whole response of
-    a filter whose poles sit at the origin.  The length is the smallest
-    5-smooth m >= max(n + min(tail, n), size).  Capping the tail at n bounds
-    the transform for a radius near 1, where the tail exceeds the record; the
-    error there is of the order of radius^n / (1 - radius).
+    float64 epsilon (1299 at 0.97), and at least size.  L is the power of
+    two >= 4 * tail, at least 4096 and at most n (1 for an empty record),
+    so a block's transform spends most of its length on the block; m is the
+    smallest 5-smooth length >= L + min(tail, n).  On records of 2^13 samples or more, the
+    delta-sigma test fixture's designs at orders 4 / 5 / 6 (r = 0.970 /
+    0.964 / 0.928) get L = 8192 / 8192 / 4096 and m = 9600 / 9375 / 4800.
+    Capping the tail at n bounds the transform for a radius near 1, where
+    the tail exceeds the record: there L = n, one block at m = 2n (rounded
+    up), and the error is of the order of radius^n / (1 - radius).
     """
     tail = size
     if radius > 0.0:
         eps = np.finfo(float).eps
         tail = max(size, math.floor(math.log(eps * (1.0 - radius)) / math.log(radius)) + 1)
-    return _smooth_length(max(n + min(tail, n), size))
+    block = min(max(n, 1), max(4096, 1 << (4 * tail - 1).bit_length()))
+    return block, _smooth_length(block + min(tail, n))
+
+
+def _stf_response(ntf, z):
+    """The STF 1 - ntf(z) = (den - num) / den at the points z, for den and
+    num the products of ntf's poles and of its zeros times its gain, the
+    two that RationalTf.__call__ divides.
+
+    den - num is taken at each point from whichever form has the smaller
+    rounding bound: the difference of the two products, whose error scales
+    with |den| + |num|, or Horner's rule on the difference of the
+    coefficient arrays of ntf.coeffs(), whose error scales with the sum of
+    their magnitudes.  Near clustered roots the expanded coefficients
+    cancel (with 8 poles at 0.97 and zeros near 1 the difference sums to 28
+    in magnitude where |den| is 7e-13), so the products are taken there.
+    Where the NTF is close to 1 everywhere the products cancel instead, and
+    the coefficient difference, formed exactly, keeps the STF's digits (an
+    NTF of 1 has an STF of exactly 0).
+    """
+    den = _root_product(z, ntf.poles)
+    num = ntf.gain * _root_product(z, ntf.zeros)
+    num_c, den_c = ntf.coeffs()
+    diff = den_c - num_c
+    by_coeffs = np.sum(np.abs(diff)) <= np.abs(den) + np.abs(num)
+    return np.where(by_coeffs, np.polyval(diff, z), den - num) / den
 
 
 def _filter_stf(ntf, x):
-    """The loop's STF = 1 - NTF = (den - num)/den, for ntf.coeffs() = (num,
-    den), applied to x from zero initial state, as a product of FFTs of
-    length m = _fft_length(N, den.size, r) for ntf's pole radius r.
+    """The loop's STF = 1 - NTF applied to x from zero initial state, by
+    overlap-add (Stockham, "High-speed convolution and correlation", 1966):
+    x is cut into blocks of L samples, each block is filtered as a product
+    of FFTs of length m, (L, m) = _fft_length(N, ntf.order + 1, r) for ntf's
+    pole radius r, and each block's last m - L output samples are added to
+    the start of the next block's.  The frequency response at
+    z = exp(2j*pi*k/m) is evaluated once per call by _stf_response, from
+    ntf's roots wherever the expanded polynomials would lose digits, as
+    they do around clustered poles.
 
-    ntf must be stable.  Circular convolution at length m differs from the
-    linear one only by the impulse response's samples from m - N on, of the
-    order of r^(m - N) / (1 - r): below float64 epsilon once m - N reaches
-    the tail (1299 samples at r = 0.97, the largest radius design_ntf
-    allows), and r^N / (1 - r) when the tail exceeds the record.
+    ntf must be stable.  A block's circular convolution at length m differs
+    from the linear one only by the impulse response's samples from m - L
+    on, of the order of r^(m - L) / (1 - r): below float64 epsilon once
+    m - L reaches the tail (1299 samples at r = 0.97, the largest radius
+    design_ntf allows), and r^N / (1 - r) when the tail exceeds the record.
     """
-    num, den = ntf.coeffs()
-    m = _fft_length(x.size, den.size, ntf.pole_radius)
-    response = np.fft.rfft(den - num, m) / np.fft.rfft(den, m)
-    return np.fft.irfft(np.fft.rfft(x, m) * response, m)[:x.size]
+    n = x.size
+    block, m = _fft_length(n, ntf.order + 1, ntf.pole_radius)
+    blocks = np.zeros((-(-n // block), block))
+    blocks.reshape(-1)[:n] = x
+    response = _stf_response(ntf, np.exp(2j * np.pi * np.arange(m // 2 + 1) / m))
+    out = np.fft.irfft(np.fft.rfft(blocks, m) * response, m)
+    # with two blocks or more, L >= 4 * tail, so a block's spill m - L fits in the next block
+    out[1:, :m - block] += out[:-1, block:]
+    return out[:, :block].reshape(-1)[:n]
 
 
 def _bin_average(freqs, vals, grid):
@@ -655,10 +730,11 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
     two is required).  reference overrides the NTF-induced PSD as the
     analytic curve (e.g. to compare against a shaping target).
 
-    The STF is applied by _filter_stf at the length ntf.pole_radius needs;
-    an NTF with a pole on or outside the unit circle raises ValueError
-    naming that radius, since the FFT product would then compute an
-    anti-causal filter, not the loop's STF.
+    The STF is applied by _filter_stf, block by block, from the NTF's roots,
+    at the block and transform lengths that ntf.pole_radius sets; an NTF
+    with a pole on or outside the unit circle raises ValueError naming that
+    radius, since the FFT product would then compute an anti-causal
+    filter, not the loop's STF.
     """
     if not trace.stability_flag:
         raise ValueError("trace is from an unstable run; comparison is meaningless")

@@ -114,12 +114,25 @@ def partition_equal_power(noise, budget_total, n):
 
 
 def _snap_edges_to_bins(plan, grid):
-    """Indices of the nearest bin boundaries for the plan's interior edges."""
+    """Bin-boundary indices for the plan's edges, each band at least one bin.
+
+    Each interior edge goes to its nearest boundary; edges that land on one
+    boundary, or outside [1, bins - 1], are then spread to neighbouring ones
+    by a forward pass (each index at least 1 and one past the one before)
+    and a backward pass (each at most bins - 1 and one before the next).
+    A plan whose edges snap to distinct interior boundaries keeps them.
+    Raises ValueError when the plan has more bands than the grid has bins.
+    """
+    bins = grid.num_bins
+    if plan.num_bands > bins:
+        raise ValueError(f"cannot shape {plan.num_bands} bands on {bins} grid bins")
     idx = np.rint((plan.edges[1:-1] - grid.f_lo) / grid.delta).astype(int)
-    idx = np.clip(idx, 1, grid.num_bins - 1)
-    if np.any(np.diff(idx) <= 0):
-        raise ValueError("bands collapse after snapping edges to grid bins")
-    return np.concatenate([[0], idx, [grid.num_bins]])
+    # less k, "one past the one before" is a running max and "one before
+    # the next" a running min
+    k = np.arange(idx.size)
+    idx = np.maximum.accumulate(np.maximum(idx, 1) - k) + k
+    idx = np.minimum.accumulate((np.minimum(idx, bins - 1) - k)[::-1])[::-1] + k
+    return np.concatenate([[0], idx, [bins]])
 
 
 def _is_aligned(plan, grid):

@@ -48,17 +48,23 @@ def random_stable_loop(rng, order):
 
 
 def reference_root_product(z, roots):
-    """prod_k (z - roots[k]) as a (points x roots) broadcast reduced by
-    numpy's complex product: the spec that deltasigma._root_product must
-    match bit for bit."""
-    return np.prod(z[:, None] - roots[None, :], axis=1)
+    """prod_k (z - roots[..., k]) as a (points x roots) broadcast reduced by
+    numpy's complex product, one row per set of a (sets, n) root stack: the
+    spec that deltasigma._root_product must match bit for bit.  z is a
+    complex array or its (real, imag) planes."""
+    if isinstance(z, tuple):
+        real, imag = z
+        z = real.astype(complex)
+        z.imag = imag
+    return np.prod(z[:, None] - roots[..., None, :], axis=-1)
 
 
 @st.composite
-def root_sets(draw):
-    """0-9 roots: conjugate pairs (plus one real root for an odd count), or
-    arbitrary complex numbers."""
-    n = draw(st.integers(0, 9))
+def root_sets(draw, n=None):
+    """n roots, or 0-9 when n is None: conjugate pairs (plus one real root
+    for an odd count), or arbitrary complex numbers."""
+    if n is None:
+        n = draw(st.integers(0, 9))
     value = st.complex_numbers(max_magnitude=2.0)
     if draw(st.booleans()):
         roots = [c for w in draw(st.lists(value, min_size=n // 2, max_size=n // 2))
@@ -86,11 +92,13 @@ def stable_ntfs(draw):
     coefficients, and a record of 64-8192 samples that holds its tail.  Pole
     pairs have radius <= 0.97 and angles in disjoint sectors of (0, pi), plus
     one real pole for odd order: clustered high-order poles leave the direct
-    form ill-conditioned for lfilter and the FFT alike (with all 8 poles at
-    0.97 they disagree by 5e-4), which would test conditioning, not the
-    transform length.  The zeros are conjugate pairs of magnitude <= 1.5,
-    plus one real zero for odd order.  A record shorter than the tail is the
-    capped case, tested on its own."""
+    form that lfilter runs ill-conditioned (with all 8 poles at 0.97 it is
+    off by about 7e-4), which would test the oracle's conditioning, not the
+    block and transform lengths; a first-order cascade is the oracle for
+    that case (test_clustered_poles_match_first_order_cascade).  The zeros
+    are conjugate pairs of magnitude <= 1.5, plus one real zero for odd
+    order.  A record shorter than the tail is the capped case, tested on its
+    own."""
     order = draw(st.integers(1, 8))
     pairs = order // 2
     radius = st.floats(0.0, 0.97)
@@ -172,17 +180,27 @@ class TestRationalTf:
 
 class TestRootProduct:
     @settings(max_examples=200, deadline=None)
-    @given(roots=root_sets(),
+    @given(sets=st.integers(0, 9).flatmap(
+               lambda n: st.lists(root_sets(n), min_size=1, max_size=3)),
+           stacked=st.booleans(), as_planes=st.booleans(),
            points=st.one_of(
                st.sampled_from([UNIT_CIRCLE_64, DENSE_HALF_CIRCLE]),
                st.lists(st.complex_numbers(max_magnitude=4.0), min_size=1, max_size=300)
                .map(lambda v: np.array(v, dtype=complex))))
-    def test_matches_broadcast_reference_bit_for_bit(self, roots, points):
-        got = ds._root_product(points, roots)
-        expect = reference_root_product(points, roots)
-        assert got.dtype == expect.dtype and got.shape == expect.shape
-        assert_array_equal(got.real, expect.real)
-        assert_array_equal(got.imag, expect.imag)
+    def test_matches_broadcast_reference_bit_for_bit(self, sets, stacked, as_planes, points):
+        # one root set of shape (n,), or a (sets, n) stack whose every row is
+        # that set's own product, on the points or on their (real, imag) planes
+        roots = np.array(sets) if stacked else sets[0]
+        z = (points.real.copy(), points.imag.copy()) if as_planes else points
+        got = ds._root_product(z, roots)
+        assert got.dtype == complex and got.shape == roots.shape[:-1] + points.shape
+        for row, r in zip(np.atleast_2d(got), sets):
+            expect = reference_root_product(points, r)
+            assert_array_equal(row.real, expect.real)
+            assert_array_equal(row.imag, expect.imag)
+        swapped = reference_root_product(z, roots)
+        assert_array_equal(got.real, swapped.real)
+        assert_array_equal(got.imag, swapped.imag)
 
 
 class TestLoopAlgebra:
@@ -512,23 +530,25 @@ class TestDesignNtf:
             assert_array_equal(got.imag, want.imag)
 
     def test_residual_multiplies_each_root_set_once(self, dsm_fixture, monkeypatch):
-        # one product per root set, over the fit and peak grids together;
-        # stage 1 reuses its frozen zeros' product, so it multiplies the poles only
+        # one product call per evaluation, over the fit and peak grids
+        # together: stage 1 reuses its frozen zeros' product, so it
+        # multiplies the poles only; stage 2 stacks the zeros and the poles
         ch, budget, cfg = dsm_fixture
         target = q.optimal_sq(ch.noise, budget).sq_opt
         problems = captured_problems(monkeypatch, target, cfg)
         calls = []
 
         def counted(z, roots, product=ds._root_product):
-            calls.append((z.size, roots.size))
+            calls.append((z[0].size, roots.shape))
             return product(z, roots)
 
         monkeypatch.setattr(ds, "_root_product", counted)
         points = target.grid.num_bins + ds._PEAK_GRID
-        for (fun, lo, hi), sets in ((problems[0], 1), (problems[-1], 2)):
+        for (fun, lo, hi), shape in ((problems[0], (cfg.order,)),
+                                     (problems[-1], (2, cfg.order))):
             calls.clear()
             fun(0.5 * (lo + hi))
-            assert calls == [(points, cfg.order)] * sets
+            assert calls == [(points, shape)]
 
     def test_root_derivatives_built_only_for_the_jacobian(self, dsm_fixture, monkeypatch):
         # _bounded_lm also evaluates trial points it rejects, and only jac()
@@ -810,45 +830,65 @@ class TestMeasuredVsPredicted:
 
 
 class TestFilterFft:
-    """_filter_stf's transform length follows the largest pole radius."""
+    """_filter_stf's block and transform lengths follow the largest pole
+    radius."""
 
     @pytest.mark.parametrize("order", [4, 5, 6])
     def test_dsm_design_length(self, dsm_fixture, monkeypatch, order):
+        # every block of L samples is transformed at a length that holds the
+        # block and the tail, far below the record's 2^18 samples
         ch, budget, cfg = dsm_fixture
         ntf = q.design_ntf(q.optimal_sq(ch.noise, budget).sq_opt, replace(cfg, order=order))
         den = ntf.coeffs()[1]
-        radius = float(np.max(np.abs(ntf.poles)))
+        tail = tail_samples(float(np.max(np.abs(ntf.poles))), den.size)
         n = 2 ** 18
         lengths = []
         rfft = np.fft.rfft
 
         def spy(a, n=None, *args, **kwargs):
-            lengths.append(n)
+            lengths.append((np.shape(a)[-1], n))
             return rfft(a, n, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, "rfft", spy)
         x = np.random.default_rng(order).standard_normal(n)
         ds._filter_stf(ntf, x)
-        assert len(set(lengths)) == 1
-        assert n + tail_samples(radius, den.size) <= lengths[0] < 2 ** 19
+        assert lengths
+        assert all(block + tail <= m < 2 ** 15 for block, m in lengths)
 
     def test_cap_when_tail_exceeds_record(self):
         # the STF (1 - r)/(z - r) of the NTF (z - 1)/(z - r): at r = 0.999 the
-        # tail (about 42900 samples) exceeds the 2^14-sample record
+        # tail (about 42900 samples) exceeds the 2^14-sample record, so the
+        # record is one block
         r, n = 0.999, 2 ** 14
         ntf = q.RationalTf(np.array([1.0], complex), np.array([r], complex), 1.0)
         num, den = ntf.coeffs()
         assert_array_equal(den - num, [0.0, 1.0 - r])
         assert tail_samples(r, den.size) > n
-        m = ds._fft_length(n, den.size, r)
-        assert m == 2 * n
+        block, m = ds._fft_length(n, den.size, r)
+        assert (block, m) == (n, 2 * n)
         x = np.random.default_rng(9).standard_normal(n)
         expect = sps.lfilter(den - num, den, x)
         got = ds._filter_stf(ntf, x)
-        # h[k] = (1 - r) r^(k - 1): the wrapped samples, from m - n + 1 on,
-        # sum to r^(m - n), and the m-periodic response adds r^m / (1 - r^m)
-        bound = (r ** (m - n) + r ** m) / (1.0 - r ** m) * np.max(np.abs(x))
+        # h[k] = (1 - r) r^(k - 1): the wrapped samples, from m - L + 1 on,
+        # sum to r^(m - L), and the m-periodic response adds r^m / (1 - r^m)
+        bound = (r ** (m - block) + r ** m) / (1.0 - r ** m) * np.max(np.abs(x))
         assert np.max(np.abs(got - expect)) <= bound + 1e-12 * np.max(np.abs(expect))
+
+    def test_clustered_poles_match_first_order_cascade(self):
+        # 8 poles at 0.97 and zeros at 0.999 e^(+-j 0.01 ... 0.04): the
+        # expanded polynomials lose digits (lfilter and an FFT of them are
+        # off by about 1e-3), a cascade of first-order sections does not
+        angles = np.array([0.01, 0.02, 0.03, 0.04])
+        zeros = 0.999 * np.concatenate([np.exp(1j * angles), np.exp(-1j * angles)])
+        poles = np.full(8, 0.97 + 0j)
+        ntf = q.RationalTf(zeros, poles, 1.0)
+        x = np.random.default_rng(12).standard_normal(2 ** 14)
+        shaped = x.astype(complex)
+        for w, p in zip(zeros, poles):
+            shaped = sps.lfilter([1.0, -w], [1.0, -p], shaped)
+        expect = x - shaped.real
+        got = ds._filter_stf(ntf, x)
+        assert np.max(np.abs(got - expect)) <= 1e-10 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("order", [0, 3], ids=["no-poles", "poles-at-origin"])
     def test_fir_matches_lfilter_without_warning(self, order):
@@ -862,7 +902,8 @@ class TestFilterFft:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = ds._filter_stf(ntf, x)
-            assert ds._fft_length(x.size, den.size, 0.0) == ds._smooth_length(x.size + den.size)
+            assert ds._fft_length(x.size, den.size, 0.0) == (
+                x.size, ds._smooth_length(x.size + den.size))
         expect = sps.lfilter(den - num, den, x)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
@@ -877,6 +918,15 @@ class TestFilterFft:
             rep = q.measured_vs_predicted(trace, ntf, cfg,
                                           inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16))
         assert np.isfinite(rep.rms_db_error)
+
+    def test_empty_trace_reaches_the_segment_check(self):
+        # no samples make no blocks: the Welch estimate, not the STF filter, refuses
+        ntf = q.RationalTf(np.array([1.0], complex), np.array([0.5], complex), 1.0)
+        assert ds._filter_stf(ntf, np.zeros(0)).shape == (0,)
+        cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0)
+        trace = q.simulate(q.loop_from_ntf(ntf), cfg, np.zeros(0))
+        with pytest.raises(ValueError, match="too few samples"):
+            q.measured_vs_predicted(trace, ntf, cfg, inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16))
 
     @pytest.mark.parametrize("pole, shown", [(1.2, "1.2"), (1.0, "1"), (-1.5, "1.5")])
     def test_unstable_ntf_rejected(self, pole, shown):

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose, assert_array_equal
 
 import qnshape as q
-from qnshape.multichannel import _power_measure
+from qnshape.multichannel import _power_measure, _snap_edges_to_bins
 
 from conftest import random_smooth_psd
 
@@ -143,16 +143,35 @@ class TestPerBandShaping:
                  q.partition_constrained(noise, budget, n, mode="equal-bandwidth"),
                  q.partition_constrained(noise, budget, n, mode="integer-ratio")]
         for plan in plans:
-            try:
-                results = q.per_band_shaping(noise, plan)
-            except ValueError as exc:
-                # snapping to bin boundaries merges edges only around a band
-                # no wider than one bin
-                assert "bands collapse" in str(exc)
-                assert np.min(np.diff(plan.edges)) <= g.delta
-                continue
+            results = q.per_band_shaping(noise, plan)
+            assert len(results) == n
             concat = np.concatenate([r.sq_opt.values for r in results])
             assert_allclose(concat, global_sq, rtol=1e-12, atol=0.0)
+
+    def test_edges_within_one_bin_spread_to_neighbouring_boundaries(self):
+        # the equal-power edges sit at 12.71, 14.53 and 15.35 bins, so the
+        # last two round onto one boundary; they move apart, one bin each
+        g = q.make_grid(0.0, 1e8, 16)
+        noise = random_smooth_psd(g, np.random.default_rng(1589))
+        budget = q.PowerBudget(1.475e12)
+        plan = q.partition_equal_power(noise, budget, 4)
+        assert_allclose(plan.edges[1:-1] / g.delta, [12.71, 14.53, 15.35], atol=0.01)
+        results = q.per_band_shaping(noise, plan)
+        assert [r.sq_opt.grid.num_bins for r in results] == [13, 1, 1, 1]
+        concat = np.concatenate([r.sq_opt.values for r in results])
+        assert_allclose(concat, q.optimal_sq(noise, budget).sq_opt.values, rtol=1e-12, atol=0.0)
+
+    def test_snapping_keeps_distinct_boundaries_and_refuses_too_many_bands(self):
+        g = q.make_grid(0.0, 1.0, 8)
+        edges = np.array([0.0, 0.26, 0.49, 0.77, 1.0])  # nearest boundaries 2, 4, 6
+        plan = q.PartitionPlan(edges=edges, per_band_power=np.ones(4))
+        assert_array_equal(_snap_edges_to_bins(plan, g), [0, 2, 4, 6, 8])
+        crowded = q.PartitionPlan(edges=np.array([0.0, 0.01, 0.02, 0.03, 1.0]),
+                                  per_band_power=np.ones(4))
+        assert_array_equal(_snap_edges_to_bins(crowded, g), [0, 1, 2, 3, 8])
+        too_many = q.PartitionPlan(edges=np.linspace(0.0, 1.0, 10), per_band_power=np.ones(9))
+        with pytest.raises(ValueError, match="cannot shape 9 bands on 8 grid bins"):
+            q.per_band_shaping(q.Psd(g, np.ones(8)), too_many)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_deliberately_unequal_split_is_worse(self, wireline_fixture):
