@@ -8,6 +8,7 @@ mid-rise quantizer and unit feedback.
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,7 +185,8 @@ class ModulatorConfig:
 
     The mid-rise quantizer has quantizer_levels output levels (must be even)
     spaced by step; full scale is levels*step/2.  max_ntf_gain is the
-    Lee-style peak-gain cap used during NTF synthesis.
+    Lee-style peak-gain cap used during NTF synthesis.  The quantizer's
+    noise density step^2/(12*sample_rate) must be a normal float.
     """
 
     order: int = 4
@@ -211,6 +213,13 @@ class ModulatorConfig:
             raise ValueError("quantizer_levels must be an even integer >= 2")
         if self.step <= 0:
             raise ValueError("step must be positive")
+        try:
+            c0 = _quant_noise_level(self)
+        except OverflowError:  # step ** 2 beyond the float range
+            c0 = math.inf
+        if not sys.float_info.min <= c0 < math.inf:
+            raise ValueError(f"step^2/(12*sample_rate) = {c0:.3g} is not a normal float "
+                             f"(step={self.step!r}, sample_rate={self.sample_rate!r})")
         if not np.isfinite(self.full_scale):
             raise ValueError(f"full scale levels*step/2 must be finite, got {self.full_scale}")
         if self.max_ntf_gain <= 1.0:
@@ -593,91 +602,59 @@ def simulate(h, cfg, input_samples, seed=0):
     )
 
 
-def _smooth_length(n):
-    """The smallest 2^a 3^b 5^c >= n (n >= 1): a length numpy's FFT runs at
-    full speed."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the smallest p35 * 2^a >= n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _fft_length(n, size, radius):
-    """_filter_stf's block length L and transform length m for n samples of a
+    """_filter_ntf's block length L and transform length m for n samples of a
     stable filter whose largest pole radius is 0 <= radius < 1 and whose
     impulse response has size samples when its poles sit at the origin.
 
-    The tail is the first k at which radius^k / (1 - radius) falls below
-    float64 epsilon (1299 at 0.97), and at least size.  L is the power of
-    two >= 4 * tail, at least 4096 and at most n (1 for an empty record),
-    so a block's transform spends most of its length on the block; m is the
-    smallest 5-smooth length >= L + min(tail, n).  On records of 2^13 samples or more, the
-    delta-sigma test fixture's designs at orders 4 / 5 / 6 (r = 0.970 /
-    0.964 / 0.928) get L = 8192 / 8192 / 4096 and m = 9600 / 9375 / 4800.
-    Capping the tail at n bounds the transform for a radius near 1, where
-    the tail exceeds the record: there L = n, one block at m = 2n (rounded
-    up), and the error is of the order of radius^n / (1 - radius).
+    The tail is size plus the first k at which radius^k / (1 - radius)
+    falls below float64 epsilon (1299 at 0.97), since the response decays
+    as radius^k only once its first size samples are past.  m is the power
+    of two >= max(8192, 5 * tail) and L = m - tail, so a block's transform
+    holds the block and its tail, and since L >= 4 * tail the tail spills
+    into the next block only.  The delta-sigma test fixture's designs at
+    orders 4 / 5 / 6 (r = 0.970 / 0.964 / 0.928) get m = 8192 and
+    L = 6888 / 7114 / 7666.  Where one such block covers the record, the
+    record is one block instead: L = n (1 for an empty record) and m the
+    power of two >= n + min(tail, n).  Capping the tail at n bounds the
+    transform for a radius near 1, where the tail exceeds the record: there
+    m = 2n (rounded up), and the error is of the order of
+    radius^n / (1 - radius).
     """
     tail = size
     if radius > 0.0:
         eps = np.finfo(float).eps
-        tail = max(size, math.floor(math.log(eps * (1.0 - radius)) / math.log(radius)) + 1)
-    block = min(max(n, 1), max(4096, 1 << (4 * tail - 1).bit_length()))
-    return block, _smooth_length(block + min(tail, n))
+        tail += math.floor(math.log(eps * (1.0 - radius)) / math.log(radius)) + 1
+    m = 1 << (max(8192, 5 * tail) - 1).bit_length()
+    if n > m - tail:
+        return m - tail, m
+    block = max(n, 1)
+    return block, 1 << (block + min(tail, n) - 1).bit_length()
 
 
-def _stf_response(ntf, z):
-    """The STF 1 - ntf(z) = (den - num) / den at the points z, for den and
-    num the products of ntf's poles and of its zeros times its gain, the
-    two that RationalTf.__call__ divides.
-
-    den - num is taken at each point from whichever form has the smaller
-    rounding bound: the difference of the two products, whose error scales
-    with |den| + |num|, or Horner's rule on the difference of the
-    coefficient arrays of ntf.coeffs(), whose error scales with the sum of
-    their magnitudes.  Near clustered roots the expanded coefficients
-    cancel (with 8 poles at 0.97 and zeros near 1 the difference sums to 28
-    in magnitude where |den| is 7e-13), so the products are taken there.
-    Where the NTF is close to 1 everywhere the products cancel instead, and
-    the coefficient difference, formed exactly, keeps the STF's digits (an
-    NTF of 1 has an STF of exactly 0).
-    """
-    den = _root_product(z, ntf.poles)
-    num = ntf.gain * _root_product(z, ntf.zeros)
-    num_c, den_c = ntf.coeffs()
-    diff = den_c - num_c
-    by_coeffs = np.sum(np.abs(diff)) <= np.abs(den) + np.abs(num)
-    return np.where(by_coeffs, np.polyval(diff, z), den - num) / den
-
-
-def _filter_stf(ntf, x):
-    """The loop's STF = 1 - NTF applied to x from zero initial state, by
-    overlap-add (Stockham, "High-speed convolution and correlation", 1966):
-    x is cut into blocks of L samples, each block is filtered as a product
-    of FFTs of length m, (L, m) = _fft_length(N, ntf.order + 1, r) for ntf's
-    pole radius r, and each block's last m - L output samples are added to
-    the start of the next block's.  The frequency response at
-    z = exp(2j*pi*k/m) is evaluated once per call by _stf_response, from
-    ntf's roots wherever the expanded polynomials would lose digits, as
-    they do around clustered poles.
+def _filter_ntf(ntf, x):
+    """ntf applied to x from zero initial state, by overlap-add (Stockham,
+    "High-speed convolution and correlation", 1966): x is cut into blocks of
+    L samples, each block is filtered as a product of FFTs of length m,
+    (L, m) = _fft_length(N, ntf.order + 1, r) for ntf's pole radius r, and
+    each block's last m - L output samples are added to the start of the
+    next block's.  The frequency response at z = exp(2j*pi*k/m) is ntf(z),
+    evaluated once per call from ntf's roots, so clustered poles keep their
+    digits.
 
     ntf must be stable.  A block's circular convolution at length m differs
     from the linear one only by the impulse response's samples from m - L
-    on, of the order of r^(m - L) / (1 - r): below float64 epsilon once
-    m - L reaches the tail (1299 samples at r = 0.97, the largest radius
-    design_ntf allows), and r^N / (1 - r) when the tail exceeds the record.
+    on, of the order of r^(m - L - order) / (1 - r): below float64 epsilon
+    once m - L reaches the tail (order + 1 + 1299 samples at r = 0.97, the
+    largest radius design_ntf allows), and r^N / (1 - r) when the tail
+    exceeds the record.  Repeated poles scale that by a polynomial in
+    m - L: with 8 poles at 0.97 the result is about 1e-11 off.
     """
     n = x.size
     block, m = _fft_length(n, ntf.order + 1, ntf.pole_radius)
     blocks = np.zeros((-(-n // block), block))
     blocks.reshape(-1)[:n] = x
-    response = _stf_response(ntf, np.exp(2j * np.pi * np.arange(m // 2 + 1) / m))
+    response = ntf(np.exp(2j * np.pi * np.arange(m // 2 + 1) / m))
     out = np.fft.irfft(np.fft.rfft(blocks, m) * response, m)
     # with two blocks or more, L >= 4 * tail, so a block's spill m - L fits in the next block
     out[1:, :m - block] += out[:-1, block:]
@@ -722,19 +699,21 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
     """Welch-estimate the trace's shaped quantization noise and compare it
     in-band against the analytic model.
 
-    The shaped noise is extracted exactly as output - STF*input (STF = 1-NTF
-    for the unit-feedback loop).  Its one-sided Welch estimate, over
+    The shaped noise is the output less the signal path, output - STF*input,
+    formed as output - input + NTF*input: the unit-feedback loop has
+    STF = 1 - NTF, and the NTF, unlike 1 - NTF, does not cancel where it is
+    close to 1.  Its one-sided Welch estimate, over
     _TRACKING_SEGMENT-sample Hann segments with half overlap, is halved to
     the analytic model's two-sided density convention, then bin-averaged
     onto the comparison grid: inband_grid, else reference's grid (one of the
     two is required).  reference overrides the NTF-induced PSD as the
     analytic curve (e.g. to compare against a shaping target).
 
-    The STF is applied by _filter_stf, block by block, from the NTF's roots,
-    at the block and transform lengths that ntf.pole_radius sets; an NTF
-    with a pole on or outside the unit circle raises ValueError naming that
+    The NTF is applied by _filter_ntf, block by block, from its roots, at
+    the block and transform lengths that ntf.pole_radius sets; an NTF with
+    a pole on or outside the unit circle raises ValueError naming that
     radius, since the FFT product would then compute an anti-causal
-    filter, not the loop's STF.
+    filter, not the loop's NTF.
     """
     if not trace.stability_flag:
         raise ValueError("trace is from an unstable run; comparison is meaningless")
@@ -747,7 +726,8 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
         inband_grid = reference.grid
     fs = cfg.sample_rate
 
-    shaped = trace.output - _filter_stf(ntf, trace.input)
+    shaped = trace.output - trace.input
+    shaped += _filter_ntf(ntf, trace.input)
 
     # the loop's start-up transient; _min_tracking_samples follows this rule
     skip = min(_TRACKING_SEGMENT, shaped.size // 4)

@@ -1,6 +1,6 @@
-import bisect
 import contextlib
 import itertools
+import re
 import warnings
 from dataclasses import replace
 
@@ -77,13 +77,13 @@ def root_sets(draw, n=None):
 
 
 def tail_samples(radius, size):
-    """The first k at which radius^k / (1 - radius) falls below float64
-    epsilon, and at least size: found by counting, as the spec of
+    """size plus the first k at which radius^k / (1 - radius) falls below
+    float64 epsilon (0 for radius 0): found by counting, as the spec of
     deltasigma._fft_length's tail."""
     k = 0
     while radius > 0.0 and radius ** k / (1.0 - radius) >= np.finfo(float).eps:
         k += 1
-    return max(size, k)
+    return size + k
 
 
 @st.composite
@@ -120,6 +120,13 @@ def stable_ntfs(draw):
     n = draw(st.integers(max(64, tail), 8192))
     x = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).standard_normal(n)
     return ntf, x
+
+
+def pinned_ntf(zeros, poles, seed, n=64):
+    """(ntf, x) as stable_ntfs draws them: the monic NTF with these roots and
+    an n-sample record."""
+    ntf = q.RationalTf(np.array(zeros, complex), np.array(poles, complex), 1.0)
+    return ntf, np.random.default_rng(seed).standard_normal(n)
 
 
 def captured_problems(monkeypatch, target, cfg):
@@ -355,6 +362,18 @@ class TestModulatorConfig:
         # every comparison with nan is false, so the range checks alone let it through
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             q.ModulatorConfig(**{field: value})
+
+    @pytest.mark.parametrize("step, sample_rate, shown", [
+        (1e200, 1.0, "inf"),          # step ** 2 overflows
+        (1e-160, 1.0, "8.35e-322"),   # subnormal
+        (1e-150, 4.8e9, "1.74e-311"),
+        (0.125, 1e308, "0"),          # 12 * sample_rate overflows
+    ])
+    def test_noise_density_must_be_normal(self, step, sample_rate, shown):
+        message = (f"step^2/(12*sample_rate) = {shown} is not a normal float "
+                   f"(step={step!r}, sample_rate={sample_rate!r})")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            q.ModulatorConfig(step=step, sample_rate=sample_rate)
 
     def test_infinite_full_scale_rejected(self):
         # an infinite divergence limit would let an infinite quantizer input through
@@ -765,14 +784,41 @@ class TestDesignSweep:
 class TestMeasuredVsPredicted:
     @pytest.mark.parametrize("order", [4, 5, 6])
     def test_stf_filter_matches_lfilter(self, dsm_fixture, order):
+        # the tracking report's filter, the NTF, on the designs it tracks
         ch, budget, cfg = dsm_fixture
         cfg = replace(cfg, order=order)
         ntf = q.design_ntf(q.optimal_sq(ch.noise, budget).sq_opt, cfg)
         num, den = ntf.coeffs()
         x = np.random.default_rng(order).standard_normal(2 ** 14)
-        expect = sps.lfilter(den - num, den, x)
-        got = ds._filter_stf(ntf, x)
+        expect = sps.lfilter(num, den, x)
+        got = ds._filter_ntf(ntf, x)
         assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(expect))
+
+    def test_shaped_noise_is_output_less_stf_input(self, dsm_fixture, monkeypatch):
+        # output - input + NTF*input is, up to rounding, the definition
+        # output - STF*input for the loop's STF = 1 - NTF
+        ch, budget, cfg = dsm_fixture
+        target = q.optimal_sq(ch.noise, budget).sq_opt
+        ntf = q.design_ntf(target, cfg)
+        n = 2 ** 14
+        x = 0.5 * cfg.full_scale * np.sin(2 * np.pi * 0.37 * cfg.band_edge / cfg.sample_rate
+                                          * np.arange(n))
+        trace = q.simulate(q.loop_from_ntf(ntf), cfg, x, seed=5)
+        seen = []
+        estimate_psd = ds.estimate_psd
+
+        def spy(samples, *args, **kwargs):
+            seen.append(samples.copy())
+            return estimate_psd(samples, *args, **kwargs)
+
+        monkeypatch.setattr(ds, "estimate_psd", spy)
+        q.measured_vs_predicted(trace, ntf, cfg, inband_grid=target.grid)
+        num, den = ntf.coeffs()
+        skip = min(ds._TRACKING_SEGMENT, n // 4)
+        expect = (trace.output - sps.lfilter(den - num, den, trace.input))[skip:]
+        [got] = seen
+        assert got.shape == expect.shape
+        assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(trace.input))
 
     def test_unit_ntf_white_floor(self):
         # dithered open-loop quantizer: flat floor at step^2/(12 fs) within 1 dB
@@ -830,13 +876,13 @@ class TestMeasuredVsPredicted:
 
 
 class TestFilterFft:
-    """_filter_stf's block and transform lengths follow the largest pole
+    """_filter_ntf's block and transform lengths follow the largest pole
     radius."""
 
     @pytest.mark.parametrize("order", [4, 5, 6])
     def test_dsm_design_length(self, dsm_fixture, monkeypatch, order):
-        # every block of L samples is transformed at a length that holds the
-        # block and the tail, far below the record's 2^18 samples
+        # every block of L samples is transformed at a power of two that
+        # holds the block and the tail, far below the record's 2^18 samples
         ch, budget, cfg = dsm_fixture
         ntf = q.design_ntf(q.optimal_sq(ch.noise, budget).sq_opt, replace(cfg, order=order))
         den = ntf.coeffs()[1]
@@ -851,33 +897,34 @@ class TestFilterFft:
 
         monkeypatch.setattr(np.fft, "rfft", spy)
         x = np.random.default_rng(order).standard_normal(n)
-        ds._filter_stf(ntf, x)
+        ds._filter_ntf(ntf, x)
         assert lengths
-        assert all(block + tail <= m < 2 ** 15 for block, m in lengths)
+        assert all(m & (m - 1) == 0 and m - block >= tail and m <= 8192 for block, m in lengths)
 
     def test_cap_when_tail_exceeds_record(self):
-        # the STF (1 - r)/(z - r) of the NTF (z - 1)/(z - r): at r = 0.999 the
-        # tail (about 42900 samples) exceeds the 2^14-sample record, so the
-        # record is one block
+        # the NTF (z - 1)/(z - r): at r = 0.999 the tail (about 42900
+        # samples) exceeds the 2^14-sample record, so the record is one block
         r, n = 0.999, 2 ** 14
         ntf = q.RationalTf(np.array([1.0], complex), np.array([r], complex), 1.0)
         num, den = ntf.coeffs()
-        assert_array_equal(den - num, [0.0, 1.0 - r])
+        assert_array_equal(den, [1.0, -r])
         assert tail_samples(r, den.size) > n
         block, m = ds._fft_length(n, den.size, r)
         assert (block, m) == (n, 2 * n)
         x = np.random.default_rng(9).standard_normal(n)
-        expect = sps.lfilter(den - num, den, x)
-        got = ds._filter_stf(ntf, x)
-        # h[k] = (1 - r) r^(k - 1): the wrapped samples, from m - L + 1 on,
-        # sum to r^(m - L), and the m-periodic response adds r^m / (1 - r^m)
+        expect = sps.lfilter(num, den, x)
+        got = ds._filter_ntf(ntf, x)
+        # h[k] = -(1 - r) r^(k - 1) for k >= 1: the wrapped samples, from
+        # m - L + 1 on, sum to r^(m - L) in magnitude, and the m-periodic
+        # response adds r^m / (1 - r^m)
         bound = (r ** (m - block) + r ** m) / (1.0 - r ** m) * np.max(np.abs(x))
         assert np.max(np.abs(got - expect)) <= bound + 1e-12 * np.max(np.abs(expect))
 
     def test_clustered_poles_match_first_order_cascade(self):
         # 8 poles at 0.97 and zeros at 0.999 e^(+-j 0.01 ... 0.04): the
         # expanded polynomials lose digits (lfilter and an FFT of them are
-        # off by about 1e-3), a cascade of first-order sections does not
+        # off by about 1e-3), the roots and a cascade of first-order
+        # sections do not
         angles = np.array([0.01, 0.02, 0.03, 0.04])
         zeros = 0.999 * np.concatenate([np.exp(1j * angles), np.exp(-1j * angles)])
         poles = np.full(8, 0.97 + 0j)
@@ -886,14 +933,13 @@ class TestFilterFft:
         shaped = x.astype(complex)
         for w, p in zip(zeros, poles):
             shaped = sps.lfilter([1.0, -w], [1.0, -p], shaped)
-        expect = x - shaped.real
-        got = ds._filter_stf(ntf, x)
+        expect = shaped.real
+        got = ds._filter_ntf(ntf, x)
         assert np.max(np.abs(got - expect)) <= 1e-10 * np.max(np.abs(expect))
 
     @pytest.mark.parametrize("order", [0, 3], ids=["no-poles", "poles-at-origin"])
     def test_fir_matches_lfilter_without_warning(self, order):
-        # real zeros over poles at the origin, at a gain that is not 1, so the
-        # STF 1 - NTF keeps every coefficient
+        # real zeros over poles at the origin, at a gain that is not 1
         rng = np.random.default_rng(order + 1)
         ntf = q.RationalTf(rng.standard_normal(order).astype(complex),
                            np.zeros(order, complex), rng.uniform(2.0, 3.0))
@@ -901,10 +947,9 @@ class TestFilterFft:
         x = rng.standard_normal(1000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = ds._filter_stf(ntf, x)
-            assert ds._fft_length(x.size, den.size, 0.0) == (
-                x.size, ds._smooth_length(x.size + den.size))
-        expect = sps.lfilter(den - num, den, x)
+            got = ds._filter_ntf(ntf, x)
+            assert ds._fft_length(x.size, den.size, 0.0) == (x.size, 1024)
+        expect = sps.lfilter(num, den, x)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_fir_ntf_tracking_without_warning(self):
@@ -920,9 +965,9 @@ class TestFilterFft:
         assert np.isfinite(rep.rms_db_error)
 
     def test_empty_trace_reaches_the_segment_check(self):
-        # no samples make no blocks: the Welch estimate, not the STF filter, refuses
+        # no samples make no blocks: the Welch estimate, not the NTF filter, refuses
         ntf = q.RationalTf(np.array([1.0], complex), np.array([0.5], complex), 1.0)
-        assert ds._filter_stf(ntf, np.zeros(0)).shape == (0,)
+        assert ds._filter_ntf(ntf, np.zeros(0)).shape == (0,)
         cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0)
         trace = q.simulate(q.loop_from_ntf(ntf), cfg, np.zeros(0))
         with pytest.raises(ValueError, match="too few samples"):
@@ -936,17 +981,22 @@ class TestFilterFft:
         with pytest.raises(ValueError, match=rf"stable NTF: largest pole radius {shown} >= 1"):
             q.measured_vs_predicted(trace, ntf, cfg, inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16))
 
-    def test_smooth_length_matches_brute_force(self):
-        smooth = sorted(2 ** i * 3 ** j * 5 ** k
-                        for i in range(14) for j in range(9) for k in range(6))
-        for n in range(1, 5001):
-            assert ds._smooth_length(n) == smooth[bisect.bisect_left(smooth, n)], n
-
     @settings(max_examples=40, deadline=None)
     @given(stable_ntfs())
+    # roots near 0, some subnormal, where 1 - NTF would cancel to a few
+    # multiples of the smallest float
+    @example(pinned_ntf([0.0], [-5e-324], 1))
+    @example(pinned_ntf([0.0, 0.0], [5e-324, 5e-324], 2))
+    @example(pinned_ntf([2.2e-16j, -2.2e-16j], [0.0, 0.0], 3))
+    @example(pinned_ntf([1e-200], [0.0], 4))
+    # six poles at 0 and a pair at 0.015: the response decays only after
+    # its first 9 samples, so a tail of 9 + 9 samples, not 9, wraps nothing
+    # into the second of two blocks
+    @example(pinned_ntf(1.5 * np.exp(1j * np.array([0.5, 1.2, 2.0, 2.7, -0.5, -1.2, -2.0, -2.7])),
+                        [0.0] * 6 + [0.015 * np.exp(0.5j), 0.015 * np.exp(-0.5j)], 5, 8192))
     def test_matches_lfilter_for_stable_filters(self, drawn):
         ntf, x = drawn
         num, den = ntf.coeffs()
-        expect = sps.lfilter(den - num, den, x)
-        got = ds._filter_stf(ntf, x)
+        expect = sps.lfilter(num, den, x)
+        got = ds._filter_ntf(ntf, x)
         assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(expect))
