@@ -9,7 +9,6 @@ files.
 """
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -190,9 +189,9 @@ def cmd_simulate(args):
     if abs(grid.f_lo) > 1e-12 * grid.width:
         raise ValueError("simulate requires a low-pass band starting at 0 Hz")
 
-    modcfg = ds.ModulatorConfig(**_set_params(args, _MODULATOR_PARAMS))
-    fs = 2.0 * modcfg.osr * grid.f_hi
-    modcfg = dataclasses.replace(modcfg, sample_rate=fs)
+    params = _set_params(args, _MODULATOR_PARAMS)
+    fs = 2.0 * params.get("osr", ds.ModulatorConfig.osr) * grid.f_hi
+    modcfg = ds.ModulatorConfig(**params, sample_rate=fs)
     for flag, value in (("--fin-ratio", args.fin_ratio), ("--amplitude-dbfs", args.amplitude_dbfs)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")

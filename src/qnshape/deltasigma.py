@@ -610,26 +610,23 @@ def _fft_length(n, size, radius):
     The tail is size plus the first k at which radius^k / (1 - radius)
     falls below float64 epsilon (1299 at 0.97), since the response decays
     as radius^k only once its first size samples are past.  m is the power
-    of two >= max(8192, 5 * tail) and L = m - tail, so a block's transform
-    holds the block and its tail, and since L >= 4 * tail the tail spills
-    into the next block only.  The delta-sigma test fixture's designs at
-    orders 4 / 5 / 6 (r = 0.970 / 0.964 / 0.928) get m = 8192 and
-    L = 6888 / 7114 / 7666.  Where one such block covers the record, the
-    record is one block instead: L = n (1 for an empty record) and m the
-    power of two >= n + min(tail, n).  Capping the tail at n bounds the
-    transform for a radius near 1, where the tail exceeds the record: there
-    m = 2n (rounded up), and the error is of the order of
-    radius^n / (1 - radius).
+    of two >= max(8192, 5 * tail) and L = min(m - tail, n), so a block's
+    transform holds the block and its tail, and since L >= 4 * tail when
+    there are two blocks or more, the tail spills into the next block only.
+    The delta-sigma test fixture's designs at orders 4 / 5 / 6
+    (r = 0.970 / 0.964 / 0.928) get m = 8192 and L = 6888 / 7114 / 7666.
+    A record shorter than the tail would measure only the filter's start-up,
+    so it is refused with a ValueError naming n, the tail and radius.
     """
     tail = size
     if radius > 0.0:
         eps = np.finfo(float).eps
         tail += math.floor(math.log(eps * (1.0 - radius)) / math.log(radius)) + 1
+    if tail > n:
+        raise ValueError(f"a record of {n} samples is shorter than the NTF's "
+                         f"{tail}-sample tail at pole radius {radius:.6g}")
     m = 1 << (max(8192, 5 * tail) - 1).bit_length()
-    if n > m - tail:
-        return m - tail, m
-    block = max(n, 1)
-    return block, 1 << (block + min(tail, n) - 1).bit_length()
+    return min(m - tail, n), m
 
 
 def _filter_ntf(ntf, x):
@@ -642,12 +639,12 @@ def _filter_ntf(ntf, x):
     evaluated once per call from ntf's roots, so clustered poles keep their
     digits.
 
-    ntf must be stable.  A block's circular convolution at length m differs
-    from the linear one only by the impulse response's samples from m - L
-    on, of the order of r^(m - L - order) / (1 - r): below float64 epsilon
-    once m - L reaches the tail (order + 1 + 1299 samples at r = 0.97, the
-    largest radius design_ntf allows), and r^N / (1 - r) when the tail
-    exceeds the record.  Repeated poles scale that by a polynomial in
+    ntf must be stable and x must hold its tail.  A block's circular
+    convolution at length m differs from the linear one only by the impulse
+    response's samples from m - L on, of the order of
+    r^(m - L - order) / (1 - r): below float64 epsilon since m - L reaches
+    the tail (order + 1 + 1299 samples at r = 0.97, the largest radius
+    design_ntf allows).  Repeated poles scale that by a polynomial in
     m - L: with 8 poles at 0.97 the result is about 1e-11 off.
     """
     n = x.size
@@ -705,48 +702,49 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
     close to 1.  Its one-sided Welch estimate, over
     _TRACKING_SEGMENT-sample Hann segments with half overlap, is halved to
     the analytic model's two-sided density convention, then bin-averaged
-    onto the comparison grid: inband_grid, else reference's grid (one of the
-    two is required).  reference overrides the NTF-induced PSD as the
-    analytic curve (e.g. to compare against a shaping target).
+    onto the comparison grid.  Exactly one of inband_grid and reference is
+    given: with inband_grid the prediction is the NTF-induced PSD,
+    bin-averaged the same way; with reference (e.g. a shaping target) the
+    grid is reference's and the prediction is its values.
 
-    The NTF is applied by _filter_ntf, block by block, from its roots, at
-    the block and transform lengths that ntf.pole_radius sets; an NTF with
-    a pole on or outside the unit circle raises ValueError naming that
-    radius, since the FFT product would then compute an anti-causal
-    filter, not the loop's NTF.
+    A trace of fewer than _min_tracking_samples() samples is refused before
+    any filtering.  The NTF is applied by _filter_ntf, which refuses a trace
+    shorter than the NTF's tail; an NTF with a pole on or outside the unit
+    circle raises ValueError naming that radius, since the FFT product
+    would then compute an anti-causal filter, not the loop's NTF.
     """
     if not trace.stability_flag:
         raise ValueError("trace is from an unstable run; comparison is meaningless")
     radius = ntf.pole_radius
     if radius >= 1.0:
         raise ValueError(f"tracking requires a stable NTF: largest pole radius {radius:.6g} >= 1")
-    if inband_grid is None:
-        if reference is None:
-            raise ValueError("measured_vs_predicted needs inband_grid or reference")
-        inband_grid = reference.grid
-    fs = cfg.sample_rate
+    if (inband_grid is None) == (reference is None):
+        raise ValueError("measured_vs_predicted needs exactly one of inband_grid and reference")
+    n, min_samples = trace.input.size, _min_tracking_samples()
+    if n < min_samples:
+        raise ValueError(f"trace has too few samples for the tracking report: "
+                         f"{n} < {min_samples}")
+    grid = inband_grid if reference is None else reference.grid
 
     shaped = trace.output - trace.input
     shaped += _filter_ntf(ntf, trace.input)
 
     # the loop's start-up transient; _min_tracking_samples follows this rule
-    skip = min(_TRACKING_SEGMENT, shaped.size // 4)
-    est = estimate_psd(shaped[skip:], fs, _TRACKING_SEGMENT)
-    measured_fine = est.values / 2.0
-
+    skip = min(_TRACKING_SEGMENT, n // 4)
+    est = estimate_psd(shaped[skip:], cfg.sample_rate, _TRACKING_SEGMENT)
     fine_f = est.grid.centers
-    inband = fine_f <= inband_grid.f_hi * (1.0 + 1e-12)
-    measured = _bin_average(fine_f[inband], measured_fine[inband], inband_grid)
+    inband = fine_f <= grid.f_hi * (1.0 + 1e-12)
+    measured = _bin_average(fine_f[inband], est.values[inband] / 2.0, grid)
 
-    if reference is not None:
-        predicted = np.interp(inband_grid.centers, reference.grid.centers, reference.values)
-    else:
+    if reference is None:
         pred_fine = ntf_quant_psd(ntf, cfg, est.grid).values[inband]
-        predicted = _bin_average(fine_f[inband], pred_fine, inband_grid)
+        predicted = _bin_average(fine_f[inband], pred_fine, grid)
+    else:
+        predicted = reference.values
 
     per_bin = 10.0 * np.log10(measured / predicted)
     return TrackingReport(
-        grid=inband_grid,
+        grid=grid,
         measured=measured,
         predicted=predicted,
         per_bin_db_error=per_bin,

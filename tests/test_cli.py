@@ -297,11 +297,12 @@ class TestSimulateCommand:
         ("--osr", "inf", "osr must be finite, got inf"),
         ("--step", "nan", "step must be finite, got nan"),
         ("--step", "inf", "step must be finite, got inf"),
-        # the quantizer's noise density step^2/(12*sample_rate) overflows, or is subnormal
+        # the quantizer's noise density step^2/(12*sample_rate) overflows, or underflows,
+        # at the run's sample rate 2 * osr * fhi
         ("--step", "1e200", "step^2/(12*sample_rate) = inf is not a normal float "
-                            "(step=1e+200, sample_rate=1.0)"),
-        ("--step", "1e-160", "step^2/(12*sample_rate) = 8.35e-322 is not a normal float "
-                             "(step=1e-160, sample_rate=1.0)"),
+                            "(step=1e+200, sample_rate=4800000000.0)"),
+        ("--step", "1e-160", "step^2/(12*sample_rate) = 0 is not a normal float "
+                             "(step=1e-160, sample_rate=4800000000.0)"),
         ("--max-ntf-gain", "nan", "max_ntf_gain must be finite, got nan"),
         ("--max-ntf-gain", "inf", "max_ntf_gain must be finite, got inf"),
     ])

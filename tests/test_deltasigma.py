@@ -97,8 +97,7 @@ def stable_ntfs(draw):
     block and transform lengths; a first-order cascade is the oracle for
     that case (test_clustered_poles_match_first_order_cascade).  The zeros
     are conjugate pairs of magnitude <= 1.5, plus one real zero for odd
-    order.  A record shorter than the tail is the capped case, tested on its
-    own."""
+    order.  A record shorter than the tail is refused, tested on its own."""
     order = draw(st.integers(1, 8))
     pairs = order // 2
     radius = st.floats(0.0, 0.97)
@@ -853,8 +852,12 @@ class TestMeasuredVsPredicted:
         cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0)
         trace = q.simulate(zero_loop(), cfg, np.zeros(8192))
         ntf = q.RationalTf(np.array([], complex), np.array([], complex), 1.0)
-        with pytest.raises(ValueError, match="inband_grid or reference"):
+        with pytest.raises(ValueError, match="exactly one of inband_grid and reference"):
             q.measured_vs_predicted(trace, ntf, cfg)
+        grid = q.make_grid(0.0, 1.0 / 24.0, 16)
+        with pytest.raises(ValueError, match="exactly one of inband_grid and reference"):
+            q.measured_vs_predicted(trace, ntf, cfg, inband_grid=grid,
+                                    reference=q.Psd(grid, np.ones(16)))
 
     def test_dithered_white_noise_matches_model(self):
         # linear-model isolation: on zero input, subtractive dither makes the
@@ -901,24 +904,29 @@ class TestFilterFft:
         assert lengths
         assert all(m & (m - 1) == 0 and m - block >= tail and m <= 8192 for block, m in lengths)
 
-    def test_cap_when_tail_exceeds_record(self):
+    def test_record_shorter_than_tail_refused(self):
         # the NTF (z - 1)/(z - r): at r = 0.999 the tail (about 42900
-        # samples) exceeds the 2^14-sample record, so the record is one block
+        # samples) exceeds a 2^14-sample record, which would measure only
+        # the filter's start-up
         r, n = 0.999, 2 ** 14
+        ntf = q.RationalTf(np.array([1.0], complex), np.array([r], complex), 1.0)
+        tail = tail_samples(r, ntf.order + 1)
+        assert tail > n
+        with pytest.raises(ValueError, match=rf"record of {n} samples is shorter than the "
+                                             rf"NTF's {tail}-sample tail at pole radius {r}"):
+            ds._filter_ntf(ntf, np.zeros(n))
+
+    def test_record_holding_a_long_tail_matches_lfilter(self):
+        # the same NTF on a 2^16-sample record, which holds its tail
+        r, n = 0.999, 2 ** 16
         ntf = q.RationalTf(np.array([1.0], complex), np.array([r], complex), 1.0)
         num, den = ntf.coeffs()
         assert_array_equal(den, [1.0, -r])
-        assert tail_samples(r, den.size) > n
-        block, m = ds._fft_length(n, den.size, r)
-        assert (block, m) == (n, 2 * n)
+        assert tail_samples(r, den.size) <= n
         x = np.random.default_rng(9).standard_normal(n)
         expect = sps.lfilter(num, den, x)
         got = ds._filter_ntf(ntf, x)
-        # h[k] = -(1 - r) r^(k - 1) for k >= 1: the wrapped samples, from
-        # m - L + 1 on, sum to r^(m - L) in magnitude, and the m-periodic
-        # response adds r^m / (1 - r^m)
-        bound = (r ** (m - block) + r ** m) / (1.0 - r ** m) * np.max(np.abs(x))
-        assert np.max(np.abs(got - expect)) <= bound + 1e-12 * np.max(np.abs(expect))
+        assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_clustered_poles_match_first_order_cascade(self):
         # 8 poles at 0.97 and zeros at 0.999 e^(+-j 0.01 ... 0.04): the
@@ -948,7 +956,7 @@ class TestFilterFft:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = ds._filter_ntf(ntf, x)
-            assert ds._fft_length(x.size, den.size, 0.0) == (x.size, 1024)
+            assert ds._fft_length(x.size, den.size, 0.0) == (x.size, 8192)
         expect = sps.lfilter(num, den, x)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
@@ -964,13 +972,17 @@ class TestFilterFft:
                                           inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16))
         assert np.isfinite(rep.rms_db_error)
 
-    def test_empty_trace_reaches_the_segment_check(self):
-        # no samples make no blocks: the Welch estimate, not the NTF filter, refuses
+    def test_empty_trace_reaches_the_segment_check(self, monkeypatch):
+        # too short a trace is refused before the NTF filter runs
+        def no_filter(*args, **kwargs):
+            raise AssertionError("_filter_ntf ran")
+
+        monkeypatch.setattr(ds, "_filter_ntf", no_filter)
         ntf = q.RationalTf(np.array([1.0], complex), np.array([0.5], complex), 1.0)
-        assert ds._filter_ntf(ntf, np.zeros(0)).shape == (0,)
         cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0)
         trace = q.simulate(q.loop_from_ntf(ntf), cfg, np.zeros(0))
-        with pytest.raises(ValueError, match="too few samples"):
+        with pytest.raises(ValueError, match=rf"too few samples for the tracking report: "
+                                             rf"0 < {ds._min_tracking_samples()}"):
             q.measured_vs_predicted(trace, ntf, cfg, inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16))
 
     @pytest.mark.parametrize("pole, shown", [(1.2, "1.2"), (1.0, "1"), (-1.5, "1.5")])

@@ -4,7 +4,8 @@ The set is the README's shape, partition and simulate examples; partition
 in integer-ratio mode with 6 bands and in equal-bandwidth mode; the command
 forms that the benchmark's cli-flow workload runs on input files (shape and
 capacity --sq on a channel file, partition --config); the README's simulate
-again at 5461 samples, the fewest the tracking report takes; then simulate
+again at 5461 samples, the fewest the tracking report takes, and with
+--step 1e200 and 1e-160, which it refuses; then simulate
 --save-trace on the README's wireless channel at orders 4, 5 and 6 with and
 without --dither, on a 2-level quantizer with step 1.0 (the modulator
 diverges) and at +6 dBFS (it saturates).  The channel, quantization PSD and
@@ -78,6 +79,12 @@ def commands(channel_csv, sq_csv, config):
         # the fewest samples the tracking report takes, which it filters as one block
         ("simulate-min-samples", ["simulate", *wireless, "--order", "4", "--osr", "12",
                                   "--dither", "--samples", "5461"]),
+        # a step whose noise density step^2/(12*fs) overflows, or underflows, at the
+        # run's sample rate: the error names that rate
+        ("simulate-step-1e200", ["simulate", *wireless, "--order", "4", "--osr", "12",
+                                 "--dither", "--step", "1e200"]),
+        ("simulate-step-1e-160", ["simulate", *wireless, "--order", "4", "--osr", "12",
+                                  "--dither", "--step", "1e-160"]),
     ]
     trace = ["simulate", *wireless, "--save-trace"]
     for order in (4, 5, 6):
