@@ -259,9 +259,12 @@ def ntf_quant_psd(ntf, cfg, grid):
     fs = cfg.sample_rate
     if grid.f_lo < -1e-12 * fs or grid.f_hi > fs / 2.0 * (1.0 + 1e-12):
         raise ValueError("grid must lie within [0, sample_rate/2]")
-    z = np.exp(2j * np.pi * grid.centers / fs)
-    mag2 = np.abs(ntf(z)) ** 2
-    return Psd(grid, _quant_noise_level(cfg) * mag2)
+    return Psd(grid, _quant_noise_level(cfg) * _ntf_power_gain(ntf, grid.centers, fs))
+
+
+def _ntf_power_gain(ntf, freqs, fs):
+    """|NTF(e^(j 2pi f/fs))|^2 at each frequency f, from the NTF's roots."""
+    return np.abs(ntf(np.exp(2j * np.pi * freqs / fs))) ** 2
 
 
 def _quant_noise_level(cfg):
@@ -602,62 +605,6 @@ def simulate(h, cfg, input_samples, seed=0):
     )
 
 
-def _fft_length(n, size, radius):
-    """_filter_ntf's block length L and transform length m for n samples of a
-    stable filter whose largest pole radius is 0 <= radius < 1 and whose
-    impulse response has size samples when its poles sit at the origin.
-
-    The tail is size plus the first k at which radius^k / (1 - radius)
-    falls below float64 epsilon (1299 at 0.97), since the response decays
-    as radius^k only once its first size samples are past.  m is the power
-    of two >= max(8192, 5 * tail) and L = min(m - tail, n), so a block's
-    transform holds the block and its tail, and since L >= 4 * tail when
-    there are two blocks or more, the tail spills into the next block only.
-    The delta-sigma test fixture's designs at orders 4 / 5 / 6
-    (r = 0.970 / 0.964 / 0.928) get m = 8192 and L = 6888 / 7114 / 7666.
-    A record shorter than the tail would measure only the filter's start-up,
-    so it is refused with a ValueError naming n, the tail and radius.
-    """
-    tail = size
-    if radius > 0.0:
-        eps = np.finfo(float).eps
-        tail += math.floor(math.log(eps * (1.0 - radius)) / math.log(radius)) + 1
-    if tail > n:
-        raise ValueError(f"a record of {n} samples is shorter than the NTF's "
-                         f"{tail}-sample tail at pole radius {radius:.6g}")
-    m = 1 << (max(8192, 5 * tail) - 1).bit_length()
-    return min(m - tail, n), m
-
-
-def _filter_ntf(ntf, x):
-    """ntf applied to x from zero initial state, by overlap-add (Stockham,
-    "High-speed convolution and correlation", 1966): x is cut into blocks of
-    L samples, each block is filtered as a product of FFTs of length m,
-    (L, m) = _fft_length(N, ntf.order + 1, r) for ntf's pole radius r, and
-    each block's last m - L output samples are added to the start of the
-    next block's.  The frequency response at z = exp(2j*pi*k/m) is ntf(z),
-    evaluated once per call from ntf's roots, so clustered poles keep their
-    digits.
-
-    ntf must be stable and x must hold its tail.  A block's circular
-    convolution at length m differs from the linear one only by the impulse
-    response's samples from m - L on, of the order of
-    r^(m - L - order) / (1 - r): below float64 epsilon since m - L reaches
-    the tail (order + 1 + 1299 samples at r = 0.97, the largest radius
-    design_ntf allows).  Repeated poles scale that by a polynomial in
-    m - L: with 8 poles at 0.97 the result is about 1e-11 off.
-    """
-    n = x.size
-    block, m = _fft_length(n, ntf.order + 1, ntf.pole_radius)
-    blocks = np.zeros((-(-n // block), block))
-    blocks.reshape(-1)[:n] = x
-    response = ntf(np.exp(2j * np.pi * np.arange(m // 2 + 1) / m))
-    out = np.fft.irfft(np.fft.rfft(blocks, m) * response, m)
-    # with two blocks or more, L >= 4 * tail, so a block's spill m - L fits in the next block
-    out[1:, :m - block] += out[:-1, block:]
-    return out[:, :block].reshape(-1)[:n]
-
-
 def _bin_average(freqs, vals, grid):
     idx = np.searchsorted(grid.edges, freqs, side="right") - 1
     out = np.full(grid.num_bins, np.nan)
@@ -693,25 +640,27 @@ def _min_tracking_samples():
 
 
 def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
-    """Welch-estimate the trace's shaped quantization noise and compare it
+    """Estimate the trace's shaped quantization noise PSD and compare it
     in-band against the analytic model.
 
-    The shaped noise is the output less the signal path, output - STF*input,
-    formed as output - input + NTF*input: the unit-feedback loop has
-    STF = 1 - NTF, and the NTF, unlike 1 - NTF, does not cancel where it is
-    close to 1.  Its one-sided Welch estimate, over
-    _TRACKING_SEGMENT-sample Hann segments with half overlap, is halved to
-    the analytic model's two-sided density convention, then bin-averaged
-    onto the comparison grid.  Exactly one of inband_grid and reference is
-    given: with inband_grid the prediction is the NTF-induced PSD,
-    bin-averaged the same way; with reference (e.g. a shaping target) the
-    grid is reference's and the prediction is its values.
+    The loop's algebra, v = H*(input - output) and output = v + q, gives
+    output = STF*input + NTF*q for every run, saturating runs included,
+    where q is the recorded trace.quantizer_error.  The shaped noise is
+    therefore NTF*q, and its PSD is |NTF|^2 times q's.  q's one-sided Welch
+    estimate, over _TRACKING_SEGMENT-sample Hann segments with half overlap
+    after min(_TRACKING_SEGMENT, N // 4) start-up samples, is halved to the
+    analytic model's two-sided density convention, multiplied by
+    |NTF(e^(j 2pi f/fs))|^2, evaluated once from the roots at the in-band
+    Welch bins, then bin-averaged onto the comparison grid.  Exactly one of
+    inband_grid and reference is given: with inband_grid the prediction is
+    the NTF-induced PSD c0*|NTF|^2 of ntf_quant_psd, bin-averaged the same
+    way; with reference (e.g. a shaping target) the grid is reference's and
+    the prediction is its values.
 
     A trace of fewer than _min_tracking_samples() samples is refused before
-    any filtering.  The NTF is applied by _filter_ntf, which refuses a trace
-    shorter than the NTF's tail; an NTF with a pole on or outside the unit
-    circle raises ValueError naming that radius, since the FFT product
-    would then compute an anti-causal filter, not the loop's NTF.
+    any estimate.  An NTF with a pole on or outside the unit circle raises
+    ValueError naming that radius: |NTF|^2 is the PSD gain of NTF*q only
+    for a causal stable NTF.
     """
     if not trace.stability_flag:
         raise ValueError("trace is from an unstable run; comparison is meaningless")
@@ -726,19 +675,17 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
                          f"{n} < {min_samples}")
     grid = inband_grid if reference is None else reference.grid
 
-    shaped = trace.output - trace.input
-    shaped += _filter_ntf(ntf, trace.input)
-
     # the loop's start-up transient; _min_tracking_samples follows this rule
     skip = min(_TRACKING_SEGMENT, n // 4)
-    est = estimate_psd(shaped[skip:], cfg.sample_rate, _TRACKING_SEGMENT)
+    est = estimate_psd(trace.quantizer_error[skip:], cfg.sample_rate, _TRACKING_SEGMENT)
     fine_f = est.grid.centers
     inband = fine_f <= grid.f_hi * (1.0 + 1e-12)
-    measured = _bin_average(fine_f[inband], est.values[inband] / 2.0, grid)
+    fine_f = fine_f[inband]
+    gain = _ntf_power_gain(ntf, fine_f, cfg.sample_rate)
+    measured = _bin_average(fine_f, est.values[inband] / 2.0 * gain, grid)
 
     if reference is None:
-        pred_fine = ntf_quant_psd(ntf, cfg, est.grid).values[inband]
-        predicted = _bin_average(fine_f[inband], pred_fine, grid)
+        predicted = _bin_average(fine_f, _quant_noise_level(cfg) * gain, grid)
     else:
         predicted = reference.values
 

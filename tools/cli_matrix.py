@@ -76,7 +76,7 @@ def commands(channel_csv, sq_csv, config):
         ("capacity-file-sq", ["capacity", "--channel", f"file:{channel_csv}", "--sq", sq_csv]),
         ("partition-config", ["partition", "--config", config]),
         ("simulate", ["simulate", *wireless, "--order", "4", "--osr", "12", "--dither"]),
-        # the fewest samples the tracking report takes, which it filters as one block
+        # the fewest samples the tracking report takes
         ("simulate-min-samples", ["simulate", *wireless, "--order", "4", "--osr", "12",
                                   "--dither", "--samples", "5461"]),
         # a step whose noise density step^2/(12*fs) overflows, or underflows, at the
