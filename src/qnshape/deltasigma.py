@@ -106,10 +106,6 @@ class RationalTf:
         return out if np.ndim(z) else out[0]
 
     @property
-    def order(self):
-        return max(self.zeros.size, self.poles.size)
-
-    @property
     def pole_radius(self):
         """The largest |pole|, or 0 with no poles."""
         return float(np.max(np.abs(self.poles), initial=0.0))
@@ -169,7 +165,7 @@ def loop_from_ntf(ntf):
     Requires a monic, stable NTF; a zero at z -> infinity would make the
     loop non-realizable.
     """
-    if ntf.zeros.size < ntf.poles.size or abs(ntf.gain) < 1e-12:
+    if ntf.zeros.size < ntf.poles.size:
         raise ValueError("NTF has a zero at z->infinity; loop is not invertible")
     if not ntf.is_monic():
         raise ValueError("loop inversion requires a monic NTF")

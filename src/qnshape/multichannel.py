@@ -72,13 +72,10 @@ def time_interleave_psd(sq_single, n):
 
 
 def _power_measure(noise, budget):
-    """Per-bin power shares of the globally optimal shape (they sum to the
-    budget), plus the cumulative integral at the grid edges."""
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        global_result = optimal_sq(noise, budget)
+    """Per-bin power shares of the global closed-form shape (they sum to the
+    budget), plus the cumulative integral at the grid edges.  A budget
+    outside the small-noise regime warns, as optimal_sq does."""
+    global_result = optimal_sq(noise, budget)
     g = noise.grid
     shares = g.delta * global_result.sq_opt.values ** -0.5 / _SQRT12
     cum = np.concatenate([[0.0], np.cumsum(shares)])

@@ -80,31 +80,21 @@ def _closed_form_scale(sv, delta, p):
     return scale
 
 
-def _closed_form_sq(noise, budget):
-    """optimal_sq without its small-noise warning, for in-package comparisons."""
-    _check_noise(noise)
-    budget = as_budget(budget)
-    g = noise.grid
-    scale = _closed_form_scale(noise.values, g.delta, budget.p)
-    sq = Psd(g, noise.values ** (2.0 / 3.0) * scale)
-    return ShapingResult(
-        sq_opt=sq,
-        bit_profile=bits_from_sq(sq),
-        achieved_power=capacity.power_of_sq(sq),
-        info_loss=capacity.info_loss(noise, sq),
-        lagrange_scale=scale,
-    )
-
-
 def optimal_sq(noise, budget):
     """Closed-form information-maximizing quantization noise shape.
 
     Sq(f) = Sv(f)^(2/3) * [ integral(Sv^(-1/3)) / (sqrt(12)*P) ]^2, evaluated
     with the grid's own Riemann sum so the power constraint holds exactly.
-    Warns when the shape leaves its small-noise validity regime.
+    The package's one closed-form solve, for the partition functions and
+    verify_shaping too: each solve outside the small-noise regime (max Sq/Sv
+    above SMALLNESS_WARN_RATIO) warns with that ratio, and still returns.
     """
-    result = _closed_form_sq(noise, budget)
-    ratio = float(np.max(result.sq_opt.values / noise.values))
+    _check_noise(noise)
+    budget = as_budget(budget)
+    g = noise.grid
+    scale = _closed_form_scale(noise.values, g.delta, budget.p)
+    sq = Psd(g, noise.values ** (2.0 / 3.0) * scale)
+    ratio = float(np.max(sq.values / noise.values))
     if ratio > SMALLNESS_WARN_RATIO:
         warnings.warn(
             f"quantization noise is not small relative to channel noise "
@@ -113,7 +103,13 @@ def optimal_sq(noise, budget):
             UserWarning,
             stacklevel=2,
         )
-    return result
+    return ShapingResult(
+        sq_opt=sq,
+        bit_profile=bits_from_sq(sq),
+        achieved_power=capacity.power_of_sq(sq),
+        info_loss=capacity.info_loss(noise, sq),
+        lagrange_scale=scale,
+    )
 
 
 def _stationary_u(kappa):
@@ -208,13 +204,14 @@ def verify_shaping(ch, sq, budget):
 
     Reports (never raises on) power mismatch; the margins quantify how far
     the small-noise assumptions are stretched, and min_bits surfaces any
-    negative-bit condition.
+    negative-bit condition.  The comparison solve is optimal_sq's, so a
+    budget outside the small-noise regime warns as optimal_sq does.
     """
     budget = as_budget(budget)
     require_same_grid(ch.grid, sq.grid, "channel and quantization PSD")
     achieved = capacity.power_of_sq(sq).p
     loss = capacity.info_loss(ch.noise, sq)
-    closed = _closed_form_sq(ch.noise, budget)
+    closed = optimal_sq(ch.noise, budget)
     sx = ch.signal.values
     total_noise = ch.noise.values + sq.values
     with np.errstate(divide="ignore"):

@@ -563,6 +563,18 @@ class TestWarnings:
         assert len(set(lines)) == len(lines)
         assert ".py:" not in err
 
+    def test_tilted_partition_warns_global_solve_first(self, tmp_path, capsys):
+        # with the noise falling across the band the worst bin is in the last
+        # band, and the global solve's warning comes before the per-band ones
+        rc = main(["partition", "--n", "4", "--noise-tilt", "-50", "--power", "1e9",
+                   "--out", str(tmp_path / "d")])
+        assert rc == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines and all(line.startswith("warning: quantization noise is not small")
+                             for line in lines)
+        assert len(set(lines)) == len(lines)
+        assert "max Sq/Sv = 5.38e+09" in lines[0]
+
     @pytest.mark.parametrize("command, power", [
         (["shape"], "1e-300"), (["shape"], "1e-150"), (["shape"], "1e160"), (["shape"], "1e300"),
         (["partition", "--n", "4"], "1e-300"), (["partition", "--n", "4"], "1e300"),

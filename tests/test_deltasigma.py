@@ -262,6 +262,12 @@ class TestLoopAlgebra:
         with pytest.raises(ValueError, match="not invertible"):
             q.loop_from_ntf(ntf)
 
+    def test_zero_gain_ntf_is_not_monic(self):
+        # as many zeros as poles, so no zero at infinity: the gain is what fails
+        ntf = q.RationalTf(np.array([0.5 + 0j]), np.array([0.1 + 0j]), 0.0)
+        with pytest.raises(ValueError, match="monic"):
+            q.loop_from_ntf(ntf)
+
     def test_degenerate_one_plus_h(self):
         h = q.RationalTf(np.array([], complex), np.array([], complex), -1.0)
         with pytest.raises(ValueError, match="degenerate"):

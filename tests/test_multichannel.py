@@ -1,3 +1,4 @@
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -251,6 +252,7 @@ class TestPartitionConstrained:
         assert got_dev == pytest.approx(best_dev, rel=1e-9)
         assert sum(plan.per_band_power) == pytest.approx(budget.p, rel=1e-12)
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=40, deadline=None)
     @given(sv=arrays(float, st.integers(16, 64), elements=st.floats(1e-3, 1e3)),
            n=st.integers(2, 4), p=st.floats(1.0, 1e9), f_lo=st.sampled_from([0.0, 3.0]))
@@ -270,6 +272,7 @@ class TestPartitionConstrained:
         assert plan.edges[0] == g.f_lo and plan.edges[-1] == g.f_hi
         assert np.all(np.diff(np.rint(units * totals[0])) >= 1)
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
     @pytest.mark.parametrize("n", [3, 4])
     def test_integer_ratio_ties_take_first_composition(self, n):
         # the first bin holds 94% of the power, so the first band sets the
@@ -292,6 +295,37 @@ class TestPartitionConstrained:
         with pytest.raises(ValueError, match="unknown partition mode"):
             q.partition_constrained(q.Psd(g, np.ones(8)), q.PowerBudget(1.0), 2,
                                     mode="nope")
+
+
+class TestOutOfRegimeWarning:
+    # at this budget Sq exceeds Sv on the default wireline channel
+    POWER = q.PowerBudget(1e9)
+
+    @pytest.mark.parametrize("solve", [
+        lambda ch, b: q.partition_equal_power(ch.noise, b, 4),
+        lambda ch, b: q.partition_constrained(ch.noise, b, 4, mode="equal-bandwidth"),
+        lambda ch, b: q.partition_constrained(ch.noise, b, 4, mode="integer-ratio"),
+        lambda ch, b: q.verify_shaping(ch, ch.noise, b),
+    ], ids=["equal-power", "equal-bandwidth", "integer-ratio", "verify"])
+    def test_global_solve_warns(self, wireline_fixture, solve):
+        ch, _ = wireline_fixture
+        with pytest.warns(UserWarning, match="not small"):
+            solve(ch, self.POWER)
+
+    def test_warnings_filter_untouched(self, monkeypatch, wireline_fixture):
+        # a separate test, because pytest.warns itself calls simplefilter
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the library changed the warnings filter")
+
+        ch, budget = wireline_fixture
+        # undone before a failure reaches pytest, whose report needs both
+        with monkeypatch.context() as m:
+            m.setattr(warnings, "catch_warnings", forbidden)
+            m.setattr(warnings, "simplefilter", forbidden)
+            plan = q.partition_equal_power(ch.noise, budget, 4)
+            results = q.per_band_shaping(ch.noise, plan)
+            report = q.verify_shaping(ch, ch.noise, budget)
+        assert len(results) == 4 and report.info_loss > 0
 
 
 class TestPartitionPlanType:

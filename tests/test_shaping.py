@@ -250,7 +250,8 @@ class TestVerifyShaping:
         ch = q.ChannelSpec(q.Psd(noise.grid, np.full(4, 10.0)), noise)
         with pytest.warns(UserWarning):
             res = q.optimal_sq(noise, q.PowerBudget(0.1))
-        rep = q.verify_shaping(ch, res.sq_opt, q.PowerBudget(0.1))
+        with pytest.warns(UserWarning, match="not small"):
+            rep = q.verify_shaping(ch, res.sq_opt, q.PowerBudget(0.1))
         assert rep.min_bits < 0
 
 

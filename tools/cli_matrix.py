@@ -1,7 +1,9 @@
 """Run a fixed set of qnshape CLI commands and print a fingerprint of each.
 
 The set is the README's shape, partition and simulate examples; partition
-in integer-ratio mode with 6 bands and in equal-bandwidth mode; the command
+in integer-ratio mode with 6 bands and in equal-bandwidth mode; partition at
+a budget outside the small-noise regime, on the default wireline channel and
+with its noise tilt reversed, so that stderr holds the warnings; the command
 forms that the benchmark's cli-flow workload runs on input files (shape and
 capacity --sq on a channel file, partition --config); the README's simulate
 again at 5461 samples, the fewest the tracking report takes, and with
@@ -64,6 +66,7 @@ def write_inputs(folder):
 def commands(channel_csv, sq_csv, config):
     """(name, argv) for each command of the matrix, given the input files."""
     wireline = ["--channel", "wireline", "--bins", "256", "--power", "2e12"]
+    out_of_regime = ["--channel", "wireline", "--bins", "256", "--power", "1e9", "--n", "4"]
     wireless = ["--channel", "wireless", "--bins", "64", "--fhi", "2e8", "--notches", "1",
                 "--notch-depth", "12", "--notch-width", "6e7", "--power", "7.5e14"]
     runs = [
@@ -72,6 +75,8 @@ def commands(channel_csv, sq_csv, config):
         ("partition-integer-ratio-n6", ["partition", *wireline, "--mode", "integer-ratio",
                                         "--n", "6"]),
         ("partition-equal-bandwidth", ["partition", *wireline, "--mode", "equal-bandwidth"]),
+        ("partition-out-of-regime", ["partition", *out_of_regime]),
+        ("partition-out-of-regime-tilted", ["partition", *out_of_regime, "--noise-tilt", "-50"]),
         ("shape-file", ["shape", "--channel", f"file:{channel_csv}", "--power", "5e12"]),
         ("capacity-file-sq", ["capacity", "--channel", f"file:{channel_csv}", "--sq", sq_csv]),
         ("partition-config", ["partition", "--config", config]),
