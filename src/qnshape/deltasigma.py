@@ -23,7 +23,8 @@ class DesignInfeasibleError(RuntimeError):
     """Raised when no stable NTF of the requested order meets the target.
 
     Carries the requested order and, once an NTF was fitted, its in-band RMS
-    error in dB and its peak gain |NTF| on the unit circle (None before).
+    error in dB and its peak gain: the maximum of |NTF| on the unit circle,
+    refined between grid samples (None before).
     """
 
     def __init__(self, message, achieved_rms_db=None, peak_gain=None, order=None):
@@ -272,9 +273,109 @@ def _quant_noise_level(cfg):
 # NTF synthesis
 
 _ZERO_RADIUS_BETA = 0.6      # sets null depth: 1-rho = beta*theta_b/(2*pairs)
-_PEAK_GRID = 2048
+_PEAK_GRID = 256             # peak-gain grid points on [0, pi], each maximum then refined
+_POLE_RADIUS_MAX = 0.97      # the fit's box on pole radii
+# a grid sample sits at most half a spacing from its lobe's peak, where one
+# pole of radius at most _POLE_RADIUS_MAX lowers |NTF| by at most this factor
+_PEAK_LOBE_DROP = (1.0 + _POLE_RADIUS_MAX * (np.pi / (2 * (_PEAK_GRID - 1))) ** 2
+                   / (1.0 - _POLE_RADIUS_MAX) ** 2) ** -0.5
+_PEAK_TOL = 1e-9             # Newton step (rad) at which a refined peak has converged
+_PEAK_STEPS = 40             # guard: bisection takes a spacing below _PEAK_TOL in 24 steps
 _BOUND_HOLD = 1e-9           # fraction of a box side that counts as sitting on its bound
 _RMS_LIMIT_DB = 6.0          # in-band RMS fit error beyond which a design is infeasible
+
+
+def _log_slope(t, zeros, poles):
+    """(g, g', |NTF|) at z = e^(j t) for root lists zeros and poles, with
+    g = d ln|NTF| / dt = sum_zeros -Im(z/(z - w)) + sum_poles Im(z/(z - p))
+    and g' = sum_zeros Re(z*w/(z - w)^2) - sum_poles Re(z*p/(z - p)^2),
+    from one difference z - root per root."""
+    z = complex(math.cos(t), math.sin(t))
+    g = slope = 0.0
+    value = 1.0
+    for w in zeros:
+        d = z - w
+        u = z / d
+        g -= u.imag
+        slope += (u * w / d).real
+        value *= abs(d)
+    for p in poles:
+        d = z - p
+        u = z / d
+        g += u.imag
+        slope -= (u * p / d).real
+        value /= abs(d)
+    return g, slope, value
+
+
+def _refine_peak(zeros, poles, mag):
+    """(theta, peak): the maximum over theta in [0, pi] of
+    |NTF(e^(j theta))| = prod|z - zeros| / prod|z - poles|, from its samples
+    mag on the _PEAK_GRID-point grid theta_k = k*pi/(_PEAK_GRID - 1).
+
+    Each grid local maximum m that may hold the peak is refined by a
+    safeguarded Newton iteration on g = d ln|NTF| / d theta (_log_slope),
+    kept inside the bracket [theta_(m-1), theta_(m+1)], which the sign of g
+    at each iterate narrows: the Newton step is taken when g' < 0 and it
+    lands inside the bracket, and the bracket is bisected otherwise.  At
+    theta = 0 and pi, g vanishes by symmetry: an end sample is a maximum
+    when g' < 0 there, and otherwise the iteration starts inside its
+    one-sided bracket, at the middle.
+
+    Which maxima: a lobe's peak lies within half a spacing h/2 of its best
+    sample, and k poles of radius at most 0.97 gathered at the peak's angle
+    lower that sample by at most (1 + 0.97 (h/2)^2 / 0.03^2)^(-k/2), a factor
+    of 0.980 per pole (_PEAK_LOBE_DROP).  So a local maximum that reads below
+    0.980^len(poles) of the grid maximum cannot hold the peak, and every
+    other one is refined.  The bound counts poles only: a zero close to a
+    pole can split a lobe into two maxima within one bracket, and the
+    iteration then finds one of them (the infeasible wireline fit of
+    tools/design_sweep.py at OSR 16, order 4 reads 4.9e-6 below its
+    2^16-point maximum).
+
+    Magnitudes at refined points come from the iteration's own per-root
+    differences, and peak is the largest value seen, the grid maximum
+    included.  At the refined point g = 0, so d peak / dx is the partial
+    derivative of |NTF(e^(j theta))| at fixed theta (the envelope theorem)."""
+    n = mag.size
+    h = np.pi / (n - 1)
+    top = int(mag.argmax())
+    theta, peak = top * h, float(mag[top])
+    keep = mag >= _PEAK_LOBE_DROP ** len(poles) * peak
+    keep[1:] &= mag[1:] >= mag[:-1]
+    keep[:-1] &= mag[:-1] >= mag[1:]
+    zeros, poles = zeros.tolist(), poles.tolist()
+    for m in np.flatnonzero(keep).tolist():
+        lo, hi = max(m - 1, 0) * h, min(m + 1, n - 1) * h
+        t = m * h
+        if m in (0, n - 1):
+            _, slope, value = _log_slope(t, zeros, poles)
+            if slope < 0.0:
+                if value > peak:
+                    theta, peak = t, value
+                continue
+            t = 0.5 * (lo + hi)
+        else:
+            a, b, c = mag[m - 1:m + 2].tolist()
+            if a - 2.0 * b + c < 0.0:
+                # the vertex of the parabola through the three samples
+                t += 0.5 * h * (a - c) / (a - 2.0 * b + c)
+        for _ in range(_PEAK_STEPS):
+            g, slope, value = _log_slope(t, zeros, poles)
+            if value > peak:
+                theta, peak = t, value
+            if g > 0.0:
+                lo = t
+            else:
+                hi = t
+            if slope < 0.0 and lo < t - g / slope < hi:
+                step = -g / slope
+            else:
+                step = 0.5 * (lo + hi) - t
+            if abs(step) <= _PEAK_TOL:
+                break
+            t += step
+    return theta, peak
 
 
 def _pair_roots(x, order):
@@ -445,7 +546,10 @@ def design_ntf(target_sq, cfg):
     the exact Jacobian from d ln|NTF| / d root.  Each residual evaluation
     takes one root product over the in-band and peak grids together, for
     the zeros and poles stacked; stage 1 multiplies its frozen zeros out
-    once per design and its poles alone at each evaluation.
+    once per design and its poles alone at each evaluation.  The peak gain
+    that the cap holds is the continuous maximum of |NTF| over the upper
+    half circle, refined from the _PEAK_GRID-point grid by _refine_peak, not
+    a grid sample; the penalty row's slope is taken at the refined point.
     Raises DesignInfeasibleError (with the in-band RMS error and peak gain)
     when the fit exceeds the gain cap by over 1% or misses the target by
     over _RMS_LIMIT_DB RMS.
@@ -490,19 +594,18 @@ def design_ntf(target_sq, cfg):
         mag = np.abs(num / den)
         f = np.empty(n_in + 1)
         np.subtract(np.log10(c0 * mag[:n_in] ** 2), log_target, out=f[:n_in])
-        mag_d = mag[n_in:]
-        m = int(mag_d.argmax())
-        peak = float(mag_d[m])
+        theta, peak = _refine_peak(zeros, poles, mag[n_in:])
         f[n_in] = pen_weight * max(0.0, (peak - cap) / cap)
 
         def jac():
             # each zero w adds ln|z - w| and each pole subtracts it, and
             # d ln|z - w| / dx = Re(-(dw/dx) / (z - w))
-            z_jac[n_in] = z_dense[m]
+            z_jac[n_in] = complex(math.cos(theta), math.sin(theta))
             rows = np.concatenate(((-(1.0 / (z_jac - zeros)) @ dzeros()).real,
                                    ((1.0 / (z_jac - poles)) @ dpoles()).real), axis=1)
             rows[:-1] *= to_log10_sq
-            # the penalty's slope pen_weight/cap * d peak/dx, at the peak bin
+            # the penalty's slope pen_weight/cap * d peak/dx, at the refined
+            # peak, where d ln|NTF| / d theta = 0 (the envelope theorem)
             rows[-1] *= pen_weight / cap * peak if peak > cap else 0.0
             return rows
         return f, jac, peak
@@ -519,8 +622,8 @@ def design_ntf(target_sq, cfg):
         return zeros, lambda: dzeros()[:, 1::2].copy()
 
     # stage 1: poles only, zeros frozen at the carved placement
-    pole_lo, pole_hi = np.zeros(order), np.full(order, 0.97)
-    pole_hi[1::2] = 0.6 * np.pi  # the pair angles; radii and a real pole stay below 0.97
+    pole_lo, pole_hi = np.zeros(order), np.full(order, _POLE_RADIUS_MAX)
+    pole_hi[1::2] = 0.6 * np.pi  # the pair angles; radii and a real pole stay below the max
     zeros0 = zeros_at(zero_angles0)[0]
     num0 = _root_product(planes, zeros0)
     frozen = (zeros0, lambda: np.zeros((order, 0)))

@@ -8,6 +8,8 @@ bin and a bisection on the Lagrange multiplier) and serves as a cross-check
 of the closed form, not as the production path.
 """
 
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -20,6 +22,19 @@ from .spectral import Psd, _fmt, _write_csv, require_same_grid
 _SQRT12 = np.sqrt(12.0)
 
 SMALLNESS_WARN_RATIO = 0.1
+
+_PACKAGE_DIR = os.path.dirname(__file__) + os.sep
+
+
+def _stacklevel_outside_package():
+    """The stacklevel, counted from the caller's frame as 1, of the nearest
+    frame outside this package, so that a warning names the user's call and
+    not the library line that made the solve (warnings.warn has no
+    skip_file_prefixes before Python 3.12)."""
+    frame, level = sys._getframe(1), 1
+    while frame is not None and frame.f_code.co_filename.startswith(_PACKAGE_DIR):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +116,7 @@ def optimal_sq(noise, budget):
             f"(max Sq/Sv = {ratio:.3g}); the shape is outside its small-noise "
             f"validity regime",
             UserWarning,
-            stacklevel=2,
+            stacklevel=_stacklevel_outside_package(),
         )
     return ShapingResult(
         sq_opt=sq,

@@ -18,8 +18,25 @@ from qnshape.deltasigma import DesignInfeasibleError
 from conftest import DSM_BUDGET
 
 UNIT_CIRCLE_64 = np.exp(1j * (np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False) + 0.013))
-# design_ntf's peak-gain grid
-DENSE_HALF_CIRCLE = np.exp(1j * np.linspace(0.0, np.pi, ds._PEAK_GRID))
+DENSE_HALF_CIRCLE = np.exp(1j * np.linspace(0.0, np.pi, 2048))
+# design_ntf's peak-gain grid, and the grid that a refined peak is checked against
+PEAK_GRID_CIRCLE = np.exp(1j * np.linspace(0.0, np.pi, ds._PEAK_GRID))
+PEAK_SPACING = np.pi / (ds._PEAK_GRID - 1)
+PEAK_CHECK_CIRCLE = np.exp(1j * np.linspace(0.0, np.pi, 2 ** 16))
+
+
+def conjugate_pair(r, phi):
+    return [r * np.exp(1j * phi), r * np.exp(-1j * phi)]
+
+
+# (zeros, poles): a pole pair just off the real axis whose peak lies inside
+# the first peak-grid interval, while the grid reads its maximum at theta = 0
+ENDPOINT_PEAK = (np.zeros(2, complex), np.array(conjugate_pair(0.97, 0.0315)))
+# two near-equal lobes: the higher one peaks half a spacing off the grid and
+# reads 2% low there, so the grid ranks the other, on-grid lobe first
+SPLIT_PEAKS = (np.zeros(4, complex),
+               np.array(conjugate_pair(0.97, 60.5 * PEAK_SPACING)
+                        + conjugate_pair(0.9695, 195.0 * PEAK_SPACING)))
 
 
 def first_order_loop():
@@ -57,6 +74,28 @@ def reference_root_product(z, roots):
         z = real.astype(complex)
         z.imag = imag
     return np.prod(z[:, None] - roots[..., None, :], axis=-1)
+
+
+def ntf_magnitude(zeros, poles, points):
+    """|NTF| = |prod(z - zeros) / prod(z - poles)| at each point z."""
+    return np.abs(ds._root_product(points, zeros) / ds._root_product(points, poles))
+
+
+@st.composite
+def stable_ntf_roots(draw):
+    """(zeros, poles) of a monic real NTF of order 1-8: conjugate pairs plus
+    one real root for odd order, zeros in the closed unit disk and poles within
+    radius 0.97, design_ntf's pole box."""
+    order = draw(st.integers(1, 8))
+
+    def roots(rmax):
+        out = []
+        for _ in range(order // 2):
+            out += conjugate_pair(draw(st.floats(0.0, rmax)), draw(st.floats(0.0, np.pi)))
+        if order % 2:
+            out.append(complex(draw(st.floats(-rmax, rmax))))
+        return np.array(out, dtype=complex)
+    return roots(1.0), roots(0.97)
 
 
 @st.composite
@@ -180,6 +219,36 @@ class TestRootProduct:
         swapped = reference_root_product(z, roots)
         assert_array_equal(got.real, swapped.real)
         assert_array_equal(got.imag, swapped.imag)
+
+
+class TestRefinePeak:
+    @settings(max_examples=200, deadline=None)
+    @given(roots=stable_ntf_roots())
+    @example(roots=ENDPOINT_PEAK)
+    @example(roots=SPLIT_PEAKS)
+    def test_no_lower_than_a_dense_grid_maximum(self, roots):
+        zeros, poles = roots
+        theta, peak = ds._refine_peak(zeros, poles, ntf_magnitude(zeros, poles, PEAK_GRID_CIRCLE))
+        dense = float(np.max(ntf_magnitude(zeros, poles, PEAK_CHECK_CIRCLE)))
+        assert peak >= dense * (1.0 - 1e-9)
+        assert 0.0 <= theta <= np.pi
+        at_theta = ntf_magnitude(zeros, poles, np.exp(1j * np.array([theta])))[0]
+        assert peak == pytest.approx(at_theta, rel=1e-12)
+
+    def test_endpoint_example_peaks_inside_the_first_interval(self):
+        zeros, poles = ENDPOINT_PEAK
+        mag = ntf_magnitude(zeros, poles, PEAK_GRID_CIRCLE)
+        theta, peak = ds._refine_peak(zeros, poles, mag)
+        assert int(mag.argmax()) == 0 and 0.0 < theta < PEAK_SPACING
+        assert peak > mag[0] * (1.0 + 1e-4)
+
+    def test_split_example_peaks_in_the_lobe_the_grid_ranks_second(self):
+        zeros, poles = SPLIT_PEAKS
+        mag = ntf_magnitude(zeros, poles, PEAK_GRID_CIRCLE)
+        theta, peak = ds._refine_peak(zeros, poles, mag)
+        m = int(mag.argmax())
+        assert abs(theta - m * PEAK_SPACING) > 100 * PEAK_SPACING
+        assert peak > mag[m] * 1.01
 
 
 class TestLoopAlgebra:
@@ -637,6 +706,27 @@ class TestDesignNtf:
         assert err.order == 1
         assert err.achieved_rms_db > 6.0
         assert 1.0 <= err.peak_gain <= cfg.max_ntf_gain * 1.01
+
+    @pytest.mark.parametrize("order, target_db", [(2, -60.0), (1, 10.0)])
+    def test_infeasible_peak_gain_is_the_continuous_maximum(self, monkeypatch, order, target_db):
+        # the fits of the two tests above: the last peak that design_ntf
+        # refines is the one its error reports
+        fs = 4.8e9
+        cfg = q.ModulatorConfig(order=order, osr=12.0, sample_rate=fs)
+        grid = q.make_grid(0.0, cfg.band_edge, 32)
+        floor = cfg.step ** 2 / (12.0 * fs)
+        target = q.Psd(grid, np.full(32, floor * 10.0 ** (target_db / 10.0)))
+        refined, refine_peak = [], ds._refine_peak
+
+        def spy(zeros, poles, mag):
+            refined.append((zeros, poles))
+            return refine_peak(zeros, poles, mag)
+
+        monkeypatch.setattr(ds, "_refine_peak", spy)
+        with pytest.raises(DesignInfeasibleError) as exc_info:
+            q.design_ntf(target, cfg)
+        dense = float(np.max(ntf_magnitude(*refined[-1], PEAK_CHECK_CIRCLE)))
+        assert exc_info.value.peak_gain == pytest.approx(dense, rel=1e-9)
 
     def test_target_beyond_band_rejected(self):
         cfg = q.ModulatorConfig(order=4, osr=12.0, sample_rate=1.0)

@@ -312,6 +312,19 @@ class TestOutOfRegimeWarning:
         with pytest.warns(UserWarning, match="not small"):
             solve(ch, self.POWER)
 
+    @pytest.mark.parametrize("solve", [
+        lambda ch, b: q.optimal_sq(ch.noise, b),
+        lambda ch, b: q.partition_equal_power(ch.noise, b, 4),
+        lambda ch, b: q.verify_shaping(ch, ch.noise, b),
+    ], ids=["optimal-sq", "equal-power", "verify"])
+    def test_warning_names_the_callers_line(self, wireline_fixture, solve):
+        # the first frame outside the package, not the library line that
+        # made the solve
+        ch, _ = wireline_fixture
+        with pytest.warns(UserWarning, match="not small") as caught:
+            solve(ch, self.POWER)
+        assert [w.filename for w in caught] == [__file__] * len(caught)
+
     def test_warnings_filter_untouched(self, monkeypatch, wireline_fixture):
         # a separate test, because pytest.warns itself calls simplefilter
         def forbidden(*args, **kwargs):

@@ -11,6 +11,9 @@ designed for its closed-form optimal quantization PSD:
 Each line names the point, then holds the NTF's zeros and poles as float hex
 (real and imaginary parts), or the infeasibility message, so that a diff of
 two runs shows whether two versions of design_ntf give identical designs.
+A feasible design's line ends with its in-band RMS fit error in dB (as the
+tests compute it) and its peak |NTF| on a 2^16-point grid over [0, pi],
+so that the diff also shows how far a design moved.
 Needs only numpy; run from the repository root:
 
     PYTHONPATH=src python3 tools/design_sweep.py > sweep.txt
@@ -22,6 +25,7 @@ import qnshape as q
 
 DSM_BUDGET = 7.5e14
 GRID = q.make_grid(0.0, 2e8, 64)
+HALF_CIRCLE = np.exp(1j * np.linspace(0.0, np.pi, 2 ** 16))
 
 
 def channels():
@@ -54,7 +58,11 @@ def main():
                 except q.DesignInfeasibleError as exc:
                     result = f"infeasible: {exc}"
                 else:
-                    result = f"zeros: {_hex(ntf.zeros)} poles: {_hex(ntf.poles)}"
+                    fit = q.ntf_quant_psd(ntf, cfg, target.grid).values / target.values
+                    rms_db = float(np.sqrt(np.mean((10.0 * np.log10(fit)) ** 2)))
+                    peak = float(np.max(np.abs(ntf(HALF_CIRCLE))))
+                    result = (f"zeros: {_hex(ntf.zeros)} poles: {_hex(ntf.poles)} "
+                              f"rms_db={rms_db:.9f} peak={peak:.9f}")
                 print(f"{name} osr={osr:g} order={order} {result}")
 
 
