@@ -233,10 +233,9 @@ def cmd_simulate(args):
         "design_rms_db": design_rms_db,
     }
     if trace.stability_flag:
-        report = ds.measured_vs_predicted(trace, ntf, modcfg, inband_grid=target.grid)
-        target_err_db = 10.0 * np.log10(report.measured / target.values)
-        entries["measured_vs_predicted_rms_db"] = report.rms_db_error
-        entries["measured_vs_target_rms_db"] = float(np.sqrt(np.mean(target_err_db ** 2)))
+        report = ds.measured_vs_predicted(trace, ntf, modcfg, target)
+        entries["measured_vs_predicted_rms_db"] = report.predicted_rms_db_error
+        entries["measured_vs_target_rms_db"] = report.rms_db_error
         measured_db = sp.to_db(report.measured)
         predicted_db = sp.to_db(report.predicted)
     else:

@@ -254,9 +254,13 @@ def ntf_quant_psd(ntf, cfg, grid):
     measured_vs_predicted for the reconciliation with one-sided estimates.
     """
     fs = cfg.sample_rate
+    _check_within_nyquist(grid, fs)
+    return Psd(grid, _quant_noise_level(cfg) * _ntf_power_gain(ntf, grid.centers, fs))
+
+
+def _check_within_nyquist(grid, fs):
     if grid.f_lo < -1e-12 * fs or grid.f_hi > fs / 2.0 * (1.0 + 1e-12):
         raise ValueError("grid must lie within [0, sample_rate/2]")
-    return Psd(grid, _quant_noise_level(cfg) * _ntf_power_gain(ntf, grid.centers, fs))
 
 
 def _ntf_power_gain(ntf, freqs, fs):
@@ -705,27 +709,27 @@ def simulate(h, cfg, input_samples, seed=0):
 
 
 def _bin_average(freqs, vals, grid):
-    idx = np.searchsorted(grid.edges, freqs, side="right") - 1
-    out = np.full(grid.num_bins, np.nan)
-    for k in range(grid.num_bins):
-        sel = idx == k
-        if np.any(sel):
-            out[k] = np.mean(vals[sel])
-    empty = np.isnan(out)
-    if np.any(empty):
-        out[empty] = np.interp(grid.centers[empty], freqs, vals)
+    """The mean of vals over each bin of grid that holds some of the
+    ascending freqs, and vals interpolated at the center of every other bin."""
+    cut = np.searchsorted(freqs, grid.edges).tolist()
+    out = np.interp(grid.centers, freqs, vals)
+    for k, (a, b) in enumerate(zip(cut[:-1], cut[1:])):
+        if b > a:
+            out[k] = np.mean(vals[a:b])
     return out
 
 
 @dataclass(frozen=True, eq=False)
 class TrackingReport:
-    """Measured vs analytic in-band comparison of the shaped noise PSD."""
+    """Measured shaped noise PSD and the NTF's prediction on a reference's
+    grid, with the RMS dB error of measured against the reference's values
+    (rms_db_error) and against predicted (predicted_rms_db_error)."""
 
     grid: FrequencyGrid
     measured: np.ndarray
     predicted: np.ndarray
-    per_bin_db_error: np.ndarray
     rms_db_error: float
+    predicted_rms_db_error: float
 
 
 _TRACKING_SEGMENT = 4096
@@ -738,9 +742,10 @@ def _min_tracking_samples():
     return 4 * (_TRACKING_SEGMENT - 1) // 3 + 1
 
 
-def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
+def measured_vs_predicted(trace, ntf, cfg, reference):
     """Estimate the trace's shaped quantization noise PSD and compare it
-    in-band against the analytic model.
+    in-band with the NTF's prediction and with reference (e.g. a shaping
+    target), on reference's grid.
 
     The loop's algebra, v = H*(input - output) and output = v + q, gives
     output = STF*input + NTF*q for every run, saturating runs included,
@@ -750,29 +755,28 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
     after min(_TRACKING_SEGMENT, N // 4) start-up samples, is halved to the
     analytic model's two-sided density convention, multiplied by
     |NTF(e^(j 2pi f/fs))|^2, evaluated once from the roots at the in-band
-    Welch bins, then bin-averaged onto the comparison grid.  Exactly one of
-    inband_grid and reference is given: with inband_grid the prediction is
-    the NTF-induced PSD c0*|NTF|^2 of ntf_quant_psd, bin-averaged the same
-    way; with reference (e.g. a shaping target) the grid is reference's and
-    the prediction is its values.
+    Welch bins, then bin-averaged onto reference.grid.  The prediction is
+    the NTF-induced PSD c0*|NTF|^2 of ntf_quant_psd at the same Welch bins,
+    bin-averaged the same way.  A comparison bin that holds no Welch bin
+    takes the value interpolated at its center.
 
     A trace of fewer than _min_tracking_samples() samples is refused before
-    any estimate.  An NTF with a pole on or outside the unit circle raises
-    ValueError naming that radius: |NTF|^2 is the PSD gain of NTF*q only
-    for a causal stable NTF.
+    any estimate, as is a reference grid that reaches beyond
+    [0, sample_rate/2].  An NTF with a pole on or outside the unit circle
+    raises ValueError naming that radius: |NTF|^2 is the PSD gain of NTF*q
+    only for a causal stable NTF.
     """
     if not trace.stability_flag:
         raise ValueError("trace is from an unstable run; comparison is meaningless")
     radius = ntf.pole_radius
     if radius >= 1.0:
         raise ValueError(f"tracking requires a stable NTF: largest pole radius {radius:.6g} >= 1")
-    if (inband_grid is None) == (reference is None):
-        raise ValueError("measured_vs_predicted needs exactly one of inband_grid and reference")
+    grid = reference.grid
+    _check_within_nyquist(grid, cfg.sample_rate)
     n, min_samples = trace.input.size, _min_tracking_samples()
     if n < min_samples:
         raise ValueError(f"trace has too few samples for the tracking report: "
                          f"{n} < {min_samples}")
-    grid = inband_grid if reference is None else reference.grid
 
     # the loop's start-up transient; _min_tracking_samples follows this rule
     skip = min(_TRACKING_SEGMENT, n // 4)
@@ -782,20 +786,11 @@ def measured_vs_predicted(trace, ntf, cfg, inband_grid=None, reference=None):
     fine_f = fine_f[inband]
     gain = _ntf_power_gain(ntf, fine_f, cfg.sample_rate)
     measured = _bin_average(fine_f, est.values[inband] / 2.0 * gain, grid)
-
-    if reference is None:
-        predicted = _bin_average(fine_f, _quant_noise_level(cfg) * gain, grid)
-    else:
-        predicted = reference.values
-
-    per_bin = 10.0 * np.log10(measured / predicted)
-    return TrackingReport(
-        grid=grid,
-        measured=measured,
-        predicted=predicted,
-        per_bin_db_error=per_bin,
-        rms_db_error=float(np.sqrt(np.mean(per_bin ** 2))),
-    )
+    predicted = _bin_average(fine_f, _quant_noise_level(cfg) * gain, grid)
+    rms_db_error, predicted_rms_db_error = (
+        float(np.sqrt(np.mean((10.0 * np.log10(measured / v)) ** 2)))
+        for v in (reference.values, predicted))
+    return TrackingReport(grid, measured, predicted, rms_db_error, predicted_rms_db_error)
 
 
 # ---------------------------------------------------------------------------

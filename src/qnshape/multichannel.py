@@ -32,12 +32,12 @@ class PartitionPlan:
         p = np.asarray(self.per_band_power, dtype=float).copy()
         if e.ndim != 1 or e.size < 2:
             raise ValueError("edges must hold at least two frequencies")
-        if np.any(np.diff(e) <= 0):
-            raise ValueError("edges must be strictly increasing")
+        if not (np.all(np.isfinite(e)) and np.all(np.diff(e) > 0)):
+            raise ValueError("edges must be finite and strictly increasing")
         if p.size != e.size - 1:
             raise ValueError("need one power per band")
-        if np.any(p <= 0):
-            raise ValueError("per-band powers must be positive")
+        if not np.all(np.isfinite(p) & (p > 0)):
+            raise ValueError("per-band powers must be positive and finite")
         for arr in (e, p):
             arr.setflags(write=False)
         object.__setattr__(self, "edges", e)

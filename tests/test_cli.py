@@ -348,7 +348,7 @@ class TestSimulateCommand:
         assert "measured_vs_target_rms_db" in read_summary(out / "summary.txt")
 
     def test_tracking_report_computed_once(self, tmp_path, monkeypatch):
-        # both tracking figures come from one STF filter and one Welch estimate
+        # both tracking figures come from one report and one Welch estimate
         calls = []
         welch = q.deltasigma.estimate_psd
 

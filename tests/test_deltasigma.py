@@ -23,6 +23,8 @@ DENSE_HALF_CIRCLE = np.exp(1j * np.linspace(0.0, np.pi, 2048))
 PEAK_GRID_CIRCLE = np.exp(1j * np.linspace(0.0, np.pi, ds._PEAK_GRID))
 PEAK_SPACING = np.pi / (ds._PEAK_GRID - 1)
 PEAK_CHECK_CIRCLE = np.exp(1j * np.linspace(0.0, np.pi, 2 ** 16))
+# a flat reference PSD on the in-band grid of a unit-rate modulator at OSR 12
+UNIT_REFERENCE = q.Psd(q.make_grid(0.0, 1.0 / 24.0, 16), np.ones(16))
 
 
 def conjugate_pair(r, phi):
@@ -889,7 +891,7 @@ class TestMeasuredVsPredicted:
         target, ntf, cfg = dsm_design(order)
         n = 2 ** 15
         trace = q.simulate(q.loop_from_ntf(ntf), cfg, dsm_tone(cfg, n, -6.0), seed=5)
-        rep = q.measured_vs_predicted(trace, ntf, cfg, inband_grid=target.grid)
+        rep = q.measured_vs_predicted(trace, ntf, cfg, target)
         num, den = ntf.coeffs()
         skip = min(ds._TRACKING_SEGMENT, n // 4)
         shaped = (trace.output - sps.lfilter(den - num, den, trace.input))[skip:]
@@ -908,9 +910,8 @@ class TestMeasuredVsPredicted:
                                 quantizer_levels=16, step=0.125, dither=True)
         trace = q.simulate(zero_loop(), cfg, np.zeros(2 ** 17))
         ntf = q.RationalTf(np.array([], complex), np.array([], complex), 1.0)
-        rep = q.measured_vs_predicted(trace, ntf, cfg,
-                                      inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16))
-        assert np.max(np.abs(rep.per_bin_db_error)) < 1.0
+        rep = q.measured_vs_predicted(trace, ntf, cfg, UNIT_REFERENCE)
+        assert np.max(np.abs(10.0 * np.log10(rep.measured / rep.predicted))) < 1.0
 
     def test_first_order_shape(self):
         cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0,
@@ -918,9 +919,8 @@ class TestMeasuredVsPredicted:
         x = 0.4 * np.sin(2 * np.pi * 0.011 * np.arange(2 ** 17))
         trace = q.simulate(first_order_loop(), cfg, x, seed=2)
         ntf = q.ntf_from_loop(first_order_loop())
-        rep = q.measured_vs_predicted(trace, ntf, cfg,
-                                      inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16))
-        assert rep.rms_db_error < 2.0
+        rep = q.measured_vs_predicted(trace, ntf, cfg, UNIT_REFERENCE)
+        assert rep.predicted_rms_db_error < 2.0
 
     def test_unstable_trace_rejected(self):
         cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0,
@@ -929,18 +929,45 @@ class TestMeasuredVsPredicted:
         assert not trace.stability_flag
         ntf = q.ntf_from_loop(first_order_loop())
         with pytest.raises(ValueError, match="unstable"):
-            q.measured_vs_predicted(trace, ntf, cfg)
+            q.measured_vs_predicted(trace, ntf, cfg, UNIT_REFERENCE)
 
-    def test_grid_or_reference_required(self):
-        cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0)
-        trace = q.simulate(zero_loop(), cfg, np.zeros(8192))
-        ntf = q.RationalTf(np.array([], complex), np.array([], complex), 1.0)
-        with pytest.raises(ValueError, match="exactly one of inband_grid and reference"):
-            q.measured_vs_predicted(trace, ntf, cfg)
-        grid = q.make_grid(0.0, 1.0 / 24.0, 16)
-        with pytest.raises(ValueError, match="exactly one of inband_grid and reference"):
-            q.measured_vs_predicted(trace, ntf, cfg, inband_grid=grid,
-                                    reference=q.Psd(grid, np.ones(16)))
+    def test_grid_beyond_nyquist_rejected(self):
+        # the bins above fs/2 would repeat the last Welch value
+        cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0,
+                                quantizer_levels=16, step=0.125, dither=True)
+        ntf = q.RationalTf(np.array([1.0], complex), np.array([0.5], complex), 1.0)
+        trace = q.simulate(q.loop_from_ntf(ntf), cfg, np.zeros(2 ** 14), seed=1)
+        grid = q.make_grid(0.0, 0.75, 8)
+        with pytest.raises(ValueError, match="sample_rate/2"):
+            q.measured_vs_predicted(trace, ntf, cfg, q.Psd(grid, np.ones(8)))
+
+    @pytest.mark.parametrize("num_bins, num_empty", [(16, 0), (256, 85)])
+    def test_bin_average_onto_the_reference_grid(self, num_bins, num_empty):
+        # the 171 in-band fs/4096 Welch bins on bins to fs/24: 16 bins hold
+        # 10 or 11 each, and of 256 bins, fs/6144 wide, 171 hold one each and
+        # the other 85 take the value interpolated at their center
+        cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0,
+                                quantizer_levels=16, step=0.125, dither=True)
+        x = 0.4 * np.sin(2 * np.pi * 0.011 * np.arange(2 ** 15))
+        trace = q.simulate(first_order_loop(), cfg, x, seed=2)
+        ntf = q.ntf_from_loop(first_order_loop())
+        grid = q.make_grid(0.0, 1.0 / 24.0, num_bins)
+        rep = q.measured_vs_predicted(trace, ntf, cfg, q.Psd(grid, np.ones(num_bins)))
+        est = q.estimate_psd(trace.quantizer_error[ds._TRACKING_SEGMENT:], 1.0,
+                             ds._TRACKING_SEGMENT)
+        fine_f = est.grid.centers[est.grid.centers <= grid.f_hi]
+        gain = np.abs(ntf(np.exp(2j * np.pi * fine_f))) ** 2
+        held = [(grid.edges[k] <= fine_f) & (fine_f < grid.edges[k + 1])
+                for k in range(num_bins)]
+        empty = [k for k in range(num_bins) if not held[k].any()]
+        assert len(empty) == num_empty
+        for got, fine in ((rep.measured, est.values[:fine_f.size] / 2.0 * gain),
+                          (rep.predicted, cfg.step ** 2 / 12.0 * gain)):
+            for k in range(num_bins):
+                if held[k].any():
+                    assert_allclose(got[k], np.mean(fine[held[k]]), rtol=1e-12)
+            assert_allclose(got[empty], np.interp(grid.centers[empty], fine_f, fine),
+                            rtol=1e-12)
 
     def test_dithered_white_noise_matches_model(self):
         # linear-model isolation: on zero input, subtractive dither makes the
@@ -957,8 +984,8 @@ class TestMeasuredVsPredicted:
         n = 2 ** 17
         trace = q.simulate(h, cfg, np.zeros(n), seed=30)
         assert trace.saturation_count == 0
-        rep = q.measured_vs_predicted(trace, ntf, cfg, inband_grid=grid)
-        assert rep.rms_db_error < 1.0
+        rep = q.measured_vs_predicted(trace, ntf, cfg, target)
+        assert rep.predicted_rms_db_error < 1.0
 
     def test_fir_ntf_tracking_without_warning(self):
         # NTF (1 - z^-1)^2: both poles at the origin
@@ -968,9 +995,8 @@ class TestMeasuredVsPredicted:
         trace = q.simulate(q.loop_from_ntf(ntf), cfg, np.zeros(2 ** 14), seed=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = q.measured_vs_predicted(trace, ntf, cfg,
-                                          inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16))
-        assert np.isfinite(rep.rms_db_error)
+            rep = q.measured_vs_predicted(trace, ntf, cfg, UNIT_REFERENCE)
+        assert np.isfinite(rep.rms_db_error) and np.isfinite(rep.predicted_rms_db_error)
 
     def test_empty_trace_reaches_the_segment_check(self, monkeypatch):
         # too short a trace is refused before the Welch estimate runs
@@ -983,7 +1009,7 @@ class TestMeasuredVsPredicted:
         trace = q.simulate(q.loop_from_ntf(ntf), cfg, np.zeros(0))
         with pytest.raises(ValueError, match=rf"too few samples for the tracking report: "
                                              rf"0 < {ds._min_tracking_samples()}"):
-            q.measured_vs_predicted(trace, ntf, cfg, inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16))
+            q.measured_vs_predicted(trace, ntf, cfg, UNIT_REFERENCE)
 
     @pytest.mark.parametrize("pole, shown", [(1.2, "1.2"), (1.0, "1"), (-1.5, "1.5")])
     def test_unstable_ntf_rejected(self, pole, shown):
@@ -991,4 +1017,4 @@ class TestMeasuredVsPredicted:
         trace = q.simulate(zero_loop(), cfg, np.zeros(8192))
         ntf = q.RationalTf(np.array([1.0], complex), np.array([pole], complex), 1.0)
         with pytest.raises(ValueError, match=rf"stable NTF: largest pole radius {shown} >= 1"):
-            q.measured_vs_predicted(trace, ntf, cfg, inband_grid=q.make_grid(0.0, 1.0 / 24.0, 16))
+            q.measured_vs_predicted(trace, ntf, cfg, UNIT_REFERENCE)

@@ -347,6 +347,17 @@ class TestPartitionPlanType:
             q.PartitionPlan(edges=np.array([0.0, 1.0, 1.0]),
                             per_band_power=np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("edges", [[0.0, np.nan, 1e8], [0.0, 5e7, np.inf]])
+    def test_non_finite_edge_rejected(self, edges):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            q.PartitionPlan(edges=np.array(edges), per_band_power=np.array([1e12, 1e12]))
+
+    @pytest.mark.parametrize("power", [np.nan, np.inf])
+    def test_non_finite_power_rejected(self, power):
+        with pytest.raises(ValueError, match="positive and finite"):
+            q.PartitionPlan(edges=np.array([0.0, 5e7, 1e8]),
+                            per_band_power=np.array([1e12, power]))
+
     def test_csv(self, tmp_path, wireline_fixture):
         ch, budget = wireline_fixture
         plan = q.partition_equal_power(ch.noise, budget, 4)

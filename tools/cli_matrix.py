@@ -6,7 +6,8 @@ a budget outside the small-noise regime, on the default wireline channel and
 with its noise tilt reversed, so that stderr holds the warnings; the command
 forms that the benchmark's cli-flow workload runs on input files (shape and
 capacity --sq on a channel file, partition --config); the README's simulate
-again at 5461 samples, the fewest the tracking report takes, and with
+again at 5461 samples, the fewest the tracking report takes, at --bins 256,
+whose comparison bins are narrower than the report's Welch bins, and with
 --step 1e200 and 1e-160, which it refuses; then simulate
 --save-trace on the README's wireless channel at orders 4, 5 and 6 with and
 without --dither, on a 2-level quantizer with step 1.0 (the modulator
@@ -84,6 +85,10 @@ def commands(channel_csv, sq_csv, config):
         # the fewest samples the tracking report takes
         ("simulate-min-samples", ["simulate", *wireless, "--order", "4", "--osr", "12",
                                   "--dither", "--samples", "5461"]),
+        # 781 kHz comparison bins against 1.17 MHz Welch bins, so some hold none;
+        # the later --bins wins
+        ("simulate-bins256", ["simulate", *wireless, "--bins", "256", "--order", "4",
+                              "--osr", "12", "--dither"]),
         # a step whose noise density step^2/(12*fs) overflows, or underflows, at the
         # run's sample rate: the error names that rate
         ("simulate-step-1e200", ["simulate", *wireless, "--order", "4", "--osr", "12",
