@@ -760,11 +760,11 @@ def measured_vs_predicted(trace, ntf, cfg, reference):
     bin-averaged the same way.  A comparison bin that holds no Welch bin
     takes the value interpolated at its center.
 
-    A trace of fewer than _min_tracking_samples() samples is refused before
-    any estimate, as is a reference grid that reaches beyond
-    [0, sample_rate/2].  An NTF with a pole on or outside the unit circle
-    raises ValueError naming that radius: |NTF|^2 is the PSD gain of NTF*q
-    only for a causal stable NTF.
+    A trace of fewer than _min_tracking_samples() samples, or a reference
+    grid beyond [0, sample_rate/2] or ending below the first Welch bin
+    center, is refused before any estimate.  An NTF with a pole on or outside
+    the unit circle raises ValueError naming that radius: |NTF|^2 is the PSD
+    gain of NTF*q only for a causal stable NTF.
     """
     if not trace.stability_flag:
         raise ValueError("trace is from an unstable run; comparison is meaningless")
@@ -773,6 +773,10 @@ def measured_vs_predicted(trace, ntf, cfg, reference):
         raise ValueError(f"tracking requires a stable NTF: largest pole radius {radius:.6g} >= 1")
     grid = reference.grid
     _check_within_nyquist(grid, cfg.sample_rate)
+    spacing = cfg.sample_rate / _TRACKING_SEGMENT
+    if grid.f_hi * (1.0 + 1e-12) < spacing / 2.0:
+        raise ValueError(f"reference grid f_hi = {grid.f_hi:.6g} Hz lies below the first Welch "
+                         f"bin center: Welch bins are fs/{_TRACKING_SEGMENT} = {spacing:.6g} Hz wide")
     n, min_samples = trace.input.size, _min_tracking_samples()
     if n < min_samples:
         raise ValueError(f"trace has too few samples for the tracking report: "

@@ -2,10 +2,10 @@
 frequency partitioning of the band across several converters.
 
 Equal-power plans carry exact (interpolated) quantile edges, so the declared
-per-band powers are equal by construction.  Band/bin alignment is handled at
-shaping time: per_band_shaping snaps edges to grid-bin boundaries and then
-recomputes the snapped budgets from the cumulative power integral of the
-global solution, which keeps the concatenation identity exact on the grid.
+per-band powers are equal by construction.  per_band_shaping snaps edges to
+grid-bin boundaries and scales each declared power by snapped / declared, the
+global solution's power over the snapped and the declared band, which keeps
+the concatenation identity exact on the grid for a partition function's plan.
 """
 
 from dataclasses import dataclass
@@ -21,8 +21,8 @@ _SQRT12 = np.sqrt(12.0)
 
 @dataclass(frozen=True, eq=False)
 class PartitionPlan:
-    """Contiguous band edges with per-band power; each band's bandwidth is
-    its edge spacing."""
+    """Contiguous band edges with declared per-band power (per_band_shaping
+    rescales it by the snap); each band's bandwidth is its edge spacing."""
 
     edges: np.ndarray
     per_band_power: np.ndarray
@@ -72,14 +72,12 @@ def time_interleave_psd(sq_single, n):
 
 
 def _power_measure(noise, budget):
-    """Per-bin power shares of the global closed-form shape (they sum to the
-    budget), plus the cumulative integral at the grid edges.  A budget
-    outside the small-noise regime warns, as optimal_sq does."""
+    """Cumulative integral, at the grid edges, of the global closed-form
+    shape's per-bin power shares (it ends at the budget).  A budget outside
+    the small-noise regime warns, as optimal_sq does."""
     global_result = optimal_sq(noise, budget)
-    g = noise.grid
-    shares = g.delta * global_result.sq_opt.values ** -0.5 / _SQRT12
-    cum = np.concatenate([[0.0], np.cumsum(shares)])
-    return shares, cum
+    shares = noise.grid.delta * global_result.sq_opt.values ** -0.5 / _SQRT12
+    return np.concatenate([[0.0], np.cumsum(shares)])
 
 
 def _split_setup(noise, budget_total, n):
@@ -91,7 +89,7 @@ def _split_setup(noise, budget_total, n):
     n = int(n)
     if n > noise.grid.num_bins:
         raise ValueError(f"cannot split {noise.grid.num_bins} bins into {n} bands")
-    return budget_total, n, _power_measure(noise, budget_total)[1]
+    return budget_total, n, _power_measure(noise, budget_total)
 
 
 def partition_equal_power(noise, budget_total, n):
@@ -132,33 +130,27 @@ def _snap_edges_to_bins(plan, grid):
     return np.concatenate([[0], idx, [bins]])
 
 
-def _is_aligned(plan, grid):
-    offs = (plan.edges[1:-1] - grid.f_lo) / grid.delta
-    return bool(np.all(np.abs(offs - np.rint(offs)) <= 1e-6))
-
-
 def per_band_shaping(noise, plan):
     """Shape each band with its own budget; returns one ShapingResult per band.
 
-    Plans with bin-aligned edges are used verbatim (their budgets included),
-    which is the hook for evaluating deliberately unequal splits.  Unaligned
-    edges are snapped to bin boundaries and the snapped budgets are
-    recomputed from the global solution's cumulative power integral rather
-    than assumed equal.
+    The plan must span the noise grid.  Its edges snap to bin boundaries, and
+    each band's budget is its declared power times snapped / declared, the
+    global closed-form shape's power over the snapped and the declared band.
+    So an exactly bin-aligned plan keeps its declared budgets bit for bit, the
+    hook for evaluating deliberately unequal splits.
     """
     g = noise.grid
-    if plan.edges[0] < g.f_lo - 1e-9 * g.width or plan.edges[-1] > g.f_hi + 1e-9 * g.width:
-        raise ValueError("partition plan exceeds the noise grid")
+    if max(abs(plan.edges[0] - g.f_lo), abs(plan.edges[-1] - g.f_hi)) > 1e-9 * g.width:
+        raise ValueError(f"partition plan must span the noise grid [{g.f_lo}, {g.f_hi}], "
+                         f"got [{plan.edges[0]}, {plan.edges[-1]}]")
     idx = _snap_edges_to_bins(plan, g)
-
-    if _is_aligned(plan, g):
-        budgets = plan.per_band_power
-    else:
-        shares, _ = _power_measure(noise, PowerBudget(plan.total_power))
-        budgets = np.array([np.sum(shares[idx[i]:idx[i + 1]]) for i in range(plan.num_bands)])
+    boundaries = g.edges
+    cum = _power_measure(noise, PowerBudget(plan.total_power))
+    snapped = np.diff(cum[idx])
+    declared = np.diff(np.interp(plan.edges, boundaries, cum))
+    budgets = plan.per_band_power * (snapped / declared)
 
     results = []
-    boundaries = g.edges
     for i in range(plan.num_bands):
         i0, i1 = idx[i], idx[i + 1]
         sub_grid = FrequencyGrid(boundaries[i0], boundaries[i1], i1 - i0)

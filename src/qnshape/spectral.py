@@ -237,6 +237,8 @@ def _write_csv(path, header, columns):
     keeps memory flat for long traces.
     """
     cols = [np.asarray(c) for c in columns]
+    if len({c.size for c in cols}) > 1:
+        raise ValueError(f"CSV columns must have equal lengths, got {[c.size for c in cols]}")
     row = ",".join("{}" if np.issubdtype(c.dtype, np.integer) else "{:.17g}"
                    for c in cols) + "\n"
     with open(path, "w", encoding="utf-8") as fh:

@@ -219,6 +219,25 @@ class TestPartitionCommand:
         widths = [float(summary[f"band{i}_bandwidth_hz"]) for i in range(4)]
         assert max(widths) == pytest.approx(min(widths), rel=1e-9)
 
+    def test_plot_data_marks_the_shaped_bands(self, tmp_path):
+        # integer-ratio edges fall inside bins: the marker follows the
+        # snapped boundaries, and the shaped bands together spend the budget
+        out = tmp_path / "d"
+        rc = main(["partition", "--channel", "wireline", "--bins", "256", "--power", "2e12",
+                   "--mode", "integer-ratio", "--n", "6", "--out", str(out)])
+        assert rc == 0
+        plan_rows = np.loadtxt(out / "plan.csv", delimiter=",", skiprows=1)
+        plan = q.PartitionPlan(edges=[*plan_rows[:, 1], plan_rows[-1, 2]],
+                               per_band_power=plan_rows[:, 3])
+        grid = q.make_grid(0.0, 1e8, 256)
+        marker = np.loadtxt(out / "plotdata.csv", delimiter=",", skiprows=1)[:, 4]
+        expected = np.zeros(256)
+        expected[q.multichannel._snap_edges_to_bins(plan, grid)[:-1]] = 1.0
+        np.testing.assert_array_equal(marker, expected)
+        sq = np.loadtxt(out / "shaping.csv", delimiter=",", skiprows=1)[:, 1]
+        spent = float(np.sum(grid.delta * sq ** -0.5)) / np.sqrt(12.0)
+        assert spent == pytest.approx(2e12, rel=1e-12)
+
 
 class TestSimulateCommand:
     def test_small_end_to_end(self, tmp_path):

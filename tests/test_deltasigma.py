@@ -941,6 +941,22 @@ class TestMeasuredVsPredicted:
         with pytest.raises(ValueError, match="sample_rate/2"):
             q.measured_vs_predicted(trace, ntf, cfg, q.Psd(grid, np.ones(8)))
 
+    def test_grid_below_the_first_welch_bin_rejected(self, monkeypatch):
+        # the first Welch bin center is fs/8192; a grid that ends below it
+        # holds no Welch bin to compare, so it is refused before the estimate
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("estimate_psd ran")
+
+        monkeypatch.setattr(ds, "estimate_psd", no_estimate)
+        cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0,
+                                quantizer_levels=16, step=0.125, dither=True)
+        ntf = q.RationalTf(np.array([1.0], complex), np.array([0.5], complex), 1.0)
+        trace = q.simulate(q.loop_from_ntf(ntf), cfg, np.zeros(2 ** 14), seed=1)
+        grid = q.make_grid(0.0, 1e-4, 4)
+        with pytest.raises(ValueError, match=r"f_hi = 0.0001 Hz lies below the first Welch bin "
+                                             r"center: Welch bins are fs/4096 = 0.000244141 Hz wide"):
+            q.measured_vs_predicted(trace, ntf, cfg, q.Psd(grid, np.ones(4)))
+
     @pytest.mark.parametrize("num_bins, num_empty", [(16, 0), (256, 85)])
     def test_bin_average_onto_the_reference_grid(self, num_bins, num_empty):
         # the 171 in-band fs/4096 Welch bins on bins to fs/24: 16 bins hold

@@ -18,7 +18,7 @@ def _exhaustive_integer_ratio(noise, p, n):
     replaces the best so far only if better by more than 1e-15.  Returns the
     edges and the worst relative deviation from equal power."""
     g = noise.grid
-    _, cum = _power_measure(noise, q.PowerBudget(p))
+    cum = _power_measure(noise, q.PowerBudget(p))
     p_even = p / n
     best_edges, best_dev = None, np.inf
     for total in range(n, 4 * n + 1):
@@ -175,6 +175,50 @@ class TestPerBandShaping:
             q.per_band_shaping(q.Psd(g, np.ones(8)), too_many)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_unaligned_split_keeps_declared_power_rescaled_by_the_snap(self):
+        # the bands snap to bins [0, 2), [2, 4), [4, 6), [6, 8); the global
+        # closed form's power density is proportional to Sv^(-1/3), so the
+        # snap moves each band's power by its integral over the snapped band
+        # over its integral over the declared band
+        g = q.make_grid(0.0, 1.0, 8)
+        sv = np.linspace(1e-6, 8e-6, 8)
+        edges = np.array([0.0, 0.26, 0.49, 0.77, 1.0])
+        declared = np.array([10.0, 20.0, 30.0, 40.0])
+        plan = q.PartitionPlan(edges=edges, per_band_power=declared)
+        results = q.per_band_shaping(q.Psd(g, sv), plan)
+        density = sv ** (-1.0 / 3.0)
+        snapped = density.reshape(4, 2).sum(axis=1) * g.delta
+        overlap = np.clip(np.minimum(edges[1:, None], g.edges[None, 1:])
+                          - np.maximum(edges[:-1, None], g.edges[None, :-1]), 0.0, None)
+        expected = declared * snapped / (overlap @ density)
+        shaped = [float(np.sum(r.sq_opt.grid.delta * r.sq_opt.values ** -0.5)) / np.sqrt(12.0)
+                  for r in results]
+        assert_allclose(shaped, expected, rtol=1e-12)
+        assert_allclose(shaped, [9.70, 21.74, 26.83, 43.56], atol=0.005)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_aligned_plan_keeps_declared_budgets_exactly(self, wireline_fixture):
+        ch, budget = wireline_fixture
+        g = ch.grid
+        for k in (16, 32, 64):
+            n = g.num_bins // k
+            plan = q.PartitionPlan(edges=g.edges[::k],
+                                   per_band_power=budget.p * np.arange(1, n + 1) / n)
+            for i, r in enumerate(q.per_band_shaping(ch.noise, plan)):
+                band = q.Psd(q.FrequencyGrid(g.edges[i * k], g.edges[(i + 1) * k], k),
+                             ch.noise.values[i * k:(i + 1) * k])
+                expected = q.optimal_sq(band, q.PowerBudget(plan.per_band_power[i]))
+                assert_array_equal(r.sq_opt.values, expected.sq_opt.values)
+
+    def test_plan_must_span_the_grid(self):
+        g = q.make_grid(0.0, 1.0, 8)
+        noise = q.Psd(g, np.linspace(1e-6, 8e-6, 8))
+        for edges in ([0.3, 0.5, 0.7], [0.0, 0.5, 0.7], [-0.5, 0.5, 1.0]):
+            plan = q.PartitionPlan(edges=edges, per_band_power=[1.0, 1.0])
+            with pytest.raises(ValueError, match="must span the noise grid"):
+                q.per_band_shaping(noise, plan)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_deliberately_unequal_split_is_worse(self, wireline_fixture):
         # hook: bin-aligned uniform edges with naive equal budgets are used
         # verbatim, and lose information relative to the global optimum
@@ -236,7 +280,7 @@ class TestPartitionConstrained:
         budget = q.PowerBudget(300.0)
         plan = q.partition_constrained(noise, budget, 2, mode="integer-ratio")
 
-        shares, cum = _power_measure(noise, budget)
+        cum = _power_measure(noise, budget)
         from itertools import combinations
         best_dev, best_widths = np.inf, None
         for total in range(2, 9):

@@ -204,3 +204,9 @@ class TestCsvRoundTrip:
         path.write_text("freq,psd\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             q.read_psd_csv(path)
+
+    def test_unequal_columns_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        with pytest.raises(ValueError, match=r"equal lengths, got \[3, 2\]"):
+            q.spectral._write_csv(path, "a,b", [np.arange(3), np.arange(2.0)])
+        assert not path.exists()

@@ -1,8 +1,9 @@
 """Run a fixed set of qnshape CLI commands and print a fingerprint of each.
 
 The set is the README's shape, partition and simulate examples; partition
-in integer-ratio mode with 6 bands and in equal-bandwidth mode; partition at
-a budget outside the small-noise regime, on the default wireline channel and
+in integer-ratio mode with 6 bands and in equal-bandwidth mode with 4 bands
+and with 6 (edges inside bins, unequal declared powers); partition at a
+budget outside the small-noise regime, on the default wireline channel and
 with its noise tilt reversed, so that stderr holds the warnings; the command
 forms that the benchmark's cli-flow workload runs on input files (shape and
 capacity --sq on a channel file, partition --config); the README's simulate
@@ -76,6 +77,8 @@ def commands(channel_csv, sq_csv, config):
         ("partition-integer-ratio-n6", ["partition", *wireline, "--mode", "integer-ratio",
                                         "--n", "6"]),
         ("partition-equal-bandwidth", ["partition", *wireline, "--mode", "equal-bandwidth"]),
+        ("partition-equal-bandwidth-n6", ["partition", *wireline, "--mode", "equal-bandwidth",
+                                          "--n", "6"]),
         ("partition-out-of-regime", ["partition", *out_of_regime]),
         ("partition-out-of-regime-tilted", ["partition", *out_of_regime, "--noise-tilt", "-50"]),
         ("shape-file", ["shape", "--channel", f"file:{channel_csv}", "--power", "5e12"]),
