@@ -12,23 +12,38 @@ quantizer works in one of two modes:
   lattice error of v + d.
 
 The modulator has diverged once the next quantizer input leaves ±10x full
-scale (``levels * step / 2``) or is NaN.  The loop then stops, leaving the
-rest of the output and the quantizer error at 0, and reports the run
-unstable.  The internal states are not watched: a loop whose direct-form
-states grow large while the quantizer input stays in range has not diverged.
+scale (``limit = 10 * levels * step / 2``) or is NaN.  The outputs then stop
+at the sample whose update took it there: the rest of the output and the
+quantizer error stay 0, and the run is reported unstable.  The internal
+states are not watched: a loop whose direct-form states grow large while
+the quantizer input stays in range has not diverged.
 
 The loop is a per-sample recursion and cannot be vectorized.  It runs as a
 pure-Python body generated per loop order and quantizer mode: the state
 lives in locals, its update is unrolled, the mode is fixed per call, and it
 iterates the input (and dither) through ``memoryview``s of float64 arrays.
-It stores one value per sample, the quantizer input v, and returns how many
-samples ran.  The quantizer rule therefore appears twice: in the loop as the
-scalar feedback u = x - y, which the recursion needs at once, and after it
-in numpy, which derives the output y, the error q = y - v and the
-saturation count from v over the samples that ran, one ufunc per float
-operation of the loop.  Both follow ``reference_modulator`` in
-``tests/test_kernels.py`` operation for operation, so every output matches
-it bit for bit.
+It quantizes by table lookup, ``table[floor((v + d) / step) + off]``: one
+list per call holds the clipped level (k + 0.5) * step for every k that a
+quantizer input within ±limit and a dither within ±max|d| can reach, so
+about 10 * levels entries, those outside the levels all being the same two
+float objects, ±top.  A quantizer whose table would exceed _TABLE_MAX
+entries works the level out and clips it instead.
+
+The loop body tests nothing per sample.  It stores one value per sample,
+the quantizer input v, and runs on past a divergence, or raises once an
+out-of-range v reaches ``floor`` (inf, NaN) or indexes past the table.
+Every v within ±limit indexes the table correctly, so the first v out of
+range is stored before anything goes wrong, and numpy finds the stop after
+the run: the first stored v with ``not |v| <= limit``, or else the final
+state s0, the next quantizer input after the last sample.  What came after
+the stop, a negative index that wrapped included, is cut off.
+
+The quantizer rule therefore appears twice: in the loop as the scalar
+feedback u = x - y, which the recursion needs at once, and after it in
+numpy, which derives the output y, the error q = y - v and the saturation
+count from v over the samples that ran, one ufunc per float operation of
+the loop.  Both follow ``reference_modulator`` in ``tests/test_kernels.py``
+operation for operation, so every output matches it bit for bit.
 
 Measure the kernel with the layer benchmark:
 ``python3 perfbench/run.py --workload compute --seed 11 --seconds 45 --trace 1``
@@ -36,16 +51,43 @@ reports ``kernels.modulator_core_s`` and ``kernels.ns_per_sample``.
 """
 
 import functools
-from math import floor
+import math
 
 import numpy as np
 
 # there is no numba backend; perfbench's environment record reads this flag
 HAVE_NUMBA = False
 
+# the largest quantizer table built, in entries (8 MB of list): 10 * levels
+# entries keep quantizers up to about 2^16.6 levels on the table
+_TABLE_MAX = 2 ** 20
 
-def _body_source(n, dithered):
-    """Source of the modulator loop for loop order n, plain or dithered.
+
+def _quantizer_table(step, levels, reach):
+    """(table, off): table[k + off] is the mid-rise level (k + 0.5) * step
+    clipped to ±top, for every k = floor(w / step) with |w| <= reach, or
+    (None, 0) when that table would exceed _TABLE_MAX entries.
+
+    For |w| <= reach, k lies within ±(floor(reach / step) + 1), float
+    rounding being monotone, and off keeps one more entry at each end."""
+    span = reach / step
+    if not span < (_TABLE_MAX - 5) / 2:  # NaN and inf included
+        return None, 0
+    off = math.floor(span) + 2
+    top = (levels / 2.0 - 0.5) * step
+    ntop = -top
+    # beyond ±half every level clips, to these same two objects
+    half = math.floor(levels / 2.0) + 1
+    inner = range(max(-half, -off), min(half, off) + 1)
+    table = ([ntop] * (inner.start + off)
+             + [min(max((k + 0.5) * step, ntop), top) for k in inner]
+             + [top] * (off + 1 - inner.stop))
+    return table, off
+
+
+def _body_source(n, dithered, tabled):
+    """Source of the modulator loop for loop order n, plain or dithered,
+    quantizing by table lookup or by working the level out.
 
     The state s[j] becomes the local s{j}, b[j] and a[j] become b{j} and
     a{j}, and the state update is unrolled.  Each sample stores its
@@ -54,65 +96,81 @@ def _body_source(n, dithered):
     in the same order, so the feedback is bit-identical.  The plain mode
     drops the reference's ``+ 0.0`` and ``- 0.0`` for the missing dither:
     they change at most the sign of a zero quantizer input, and floor maps
-    both signs of zero to the same level.  After each update, one range test
-    on s0, the next quantizer input, ends the run when it leaves ±limit or is
-    NaN, so ``math.floor`` only ever sees a finite value.  Returns (samples
-    run, stable).  Order 0 has no state: its quantizer input is 0 throughout,
-    v_out's initial zeros, and it never diverges.
+    both signs of zero to the same level.  Returns the final s0, the next
+    quantizer input after the last sample.  Order 0 has no state: its
+    quantizer input is 0 throughout, v_out's initial zeros.
     """
-    lines = ["def _body(x, b, a, v_out, step, levels, dither):"]
+    lines = ["def _body(x, b, a, v_out, step, table, off, top, dither):"]
     if n == 0:
-        return "\n".join(lines + ["    return len(x), True"]) + "\n"
+        return "\n".join(lines + ["    return 0.0"]) + "\n"
     lines += [f"    {''.join(f'{c}{j}, ' for j in range(n))}= {c}" for c in "ba"]
     lines += [f"    {' = '.join(f's{j}' for j in range(n))} = 0.0",
-              "    limit = 10.0 * (levels * step / 2.0)",
-              "    nlimit = -limit",
-              "    top = (levels / 2.0 - 0.5) * step",
               "    ntop = -top"]
     loop = "t, xt, d in zip(range(len(x)), x, dither)" if dithered else "t, xt in enumerate(x)"
+    k = f"floor({'(v + d)' if dithered else 'v'} / step)"
     lines += [f"    for {loop}:",
               "        v = s0",
-              "        v_out[t] = v",
-              f"        yt = (floor({'(v + d)' if dithered else 'v'} / step) + 0.5) * step",
-              "        if yt > top:",
-              "            yt = top",
-              "        elif yt < ntop:",
-              "            yt = ntop",
-              f"        u = xt - {'(yt - d)' if dithered else 'yt'}"]
+              "        v_out[t] = v"]
+    if tabled:
+        lines += [f"        yt = table[{k} + off]"]
+    else:
+        lines += [f"        yt = ({k} + 0.5) * step",
+                  "        if yt > top:",
+                  "            yt = top",
+                  "        elif yt < ntop:",
+                  "            yt = ntop"]
+    lines += [f"        u = xt - {'(yt - d)' if dithered else 'yt'}"]
     for j in range(n):
         head = f"s{j + 1} + " if j < n - 1 else ""
         lines += [f"        s{j} = {head}b{j} * u - a{j} * v"]
-    lines += ["        if not nlimit <= s0 <= limit:",
-              "            return t + 1, False",
-              "    return len(x), True"]
+    lines += ["    return s0"]
     return "\n".join(lines) + "\n"
 
 
 @functools.cache
-def _body(n, dithered):
-    """The loop body for (n, dithered), compiled on first use."""
-    namespace = {"floor": floor}
-    source = _body_source(n, dithered)
-    exec(compile(source, f"<modulator body n={n} dithered={dithered}>", "exec"), namespace)
+def _body(n, dithered, tabled):
+    """The loop body for (n, dithered, tabled), compiled on first use."""
+    namespace = {"floor": math.floor}
+    source = _body_source(n, dithered, tabled)
+    exec(compile(source, f"<modulator body n={n} dithered={dithered} tabled={tabled}>",
+                 "exec"), namespace)
     return namespace["_body"]
 
 
 def modulator_core(x, b, a, step, levels, dither):
     """Run the modulator on x with loop filter coefficients b, a (see the
     module docstring), dithered when ``dither`` is non-empty.  x and dither
-    are contiguous float64 arrays.  Returns (output, quantizer_error,
-    saturation_count, stable)."""
+    are contiguous float64 arrays, and dither must be finite.  Returns
+    (output, quantizer_error, saturation_count, stable)."""
     step, levels = float(step), float(levels)
     dithered = dither.size > 0
+    reach = limit = 10.0 * (levels * step / 2.0)
+    if dithered:
+        hi, lo = float(dither.max()), float(dither.min())
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise ValueError("dither must be finite")
+        reach += max(hi, -lo)
+    top = (levels / 2.0 - 0.5) * step
+    table, off = _quantizer_table(step, levels, reach)
     y = np.zeros(x.size)
     # q holds the quantizer input v until the outputs are derived from it
     q = np.zeros(x.size)
-    ran, stable = _body(len(b), dithered)(
-        memoryview(x), [float(c) for c in b], [float(c) for c in a], memoryview(q),
-        step, levels, memoryview(dither))
+    try:
+        last = _body(len(b), dithered, table is not None)(
+            memoryview(x), [float(c) for c in b], [float(c) for c in a], memoryview(q),
+            step, table, off, top, memoryview(dither))
+    except (OverflowError, ValueError, IndexError):
+        # an out-of-range v reached floor or the table, and is stored
+        last = math.nan
+    ran, stable = x.size, True
+    # min and max propagate NaN, and allocate nothing on a stable run
+    if x.size and not (-limit <= q.min() and q.max() <= limit):
+        ran, stable = int(np.argmin(np.abs(q) <= limit)), False
+        q[ran:] = 0.0
+    elif not abs(last) <= limit:
+        stable = False
     # the loop's quantizer again, one ufunc per float operation, in place
     v, out, d = q[:ran], y[:ran], dither[:ran]
-    top = (levels / 2.0 - 0.5) * step
     if dithered:
         np.add(v, d, out=out)
         np.divide(out, step, out=out)

@@ -62,18 +62,12 @@ class FrequencyGrid:
         return self.f_lo + np.arange(self.num_bins + 1) * self.delta
 
 
-def grids_compatible(a, b):
-    """True if two grids describe the same discretization, to 1e-9 relative."""
-    atol = 1e-9 * max(abs(a.width), 1.0)
-    return (
-        a.num_bins == b.num_bins
-        and np.isclose(a.f_lo, b.f_lo, rtol=1e-9, atol=atol)
-        and np.isclose(a.f_hi, b.f_hi, rtol=1e-9, atol=atol)
-    )
-
-
 def require_same_grid(a, b, what="operands"):
-    if not grids_compatible(a, b):
+    """Raise unless two grids describe the same discretization, to 1e-9 relative."""
+    atol = 1e-9 * max(abs(a.width), 1.0)
+    if not (a.num_bins == b.num_bins
+            and np.isclose(a.f_lo, b.f_lo, rtol=1e-9, atol=atol)
+            and np.isclose(a.f_hi, b.f_hi, rtol=1e-9, atol=atol)):
         raise ValueError(f"grid mismatch: {what} must share one frequency grid")
 
 

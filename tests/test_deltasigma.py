@@ -39,6 +39,10 @@ ENDPOINT_PEAK = (np.zeros(2, complex), np.array(conjugate_pair(0.97, 0.0315)))
 SPLIT_PEAKS = (np.zeros(4, complex),
                np.array(conjugate_pair(0.97, 60.5 * PEAK_SPACING)
                         + conjugate_pair(0.9695, 195.0 * PEAK_SPACING)))
+# a zero pair beside a double pole pair: the zero splits the poles' lobe into
+# two maxima, 1.18 spacings apart, inside the bracket of one grid maximum
+ZERO_SPLIT = (np.array(conjugate_pair(0.9793, 100.89 * PEAK_SPACING) + [0.0, 0.0]),
+              np.array(2 * conjugate_pair(0.97, 100.9 * PEAK_SPACING)))
 
 
 def first_order_loop():
@@ -251,6 +255,23 @@ class TestRefinePeak:
         m = int(mag.argmax())
         assert abs(theta - m * PEAK_SPACING) > 100 * PEAK_SPACING
         assert peak > mag[m] * 1.01
+
+    def test_zero_split_lobe_reads_low(self):
+        # pins a known miss: the lobe bound counts poles only, and of two
+        # maxima in one bracket the iteration finds the lower.  A fix that
+        # finds the higher one fails this test, which then turns into the
+        # dense-grid check above
+        zeros, poles = ZERO_SPLIT
+        mag = ntf_magnitude(zeros, poles, PEAK_GRID_CIRCLE)
+        theta, peak = ds._refine_peak(zeros, poles, mag)
+        dense = ntf_magnitude(zeros, poles, PEAK_CHECK_CIRCLE)
+        inner = dense[1:-1]
+        maxima = np.flatnonzero((inner > dense[:-2]) & (inner > dense[2:])) + 1
+        at = maxima * np.pi / (dense.size - 1)
+        m = int(mag.argmax())
+        assert maxima.size == 2 and np.all(np.abs(at - m * PEAK_SPACING) < PEAK_SPACING)
+        assert abs(theta - at[dense[maxima].argmin()]) < 1e-4
+        assert 1.0 - peak / dense.max() == pytest.approx(1.18e-3, rel=0.01)
 
 
 class TestLoopAlgebra:

@@ -9,7 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from qnshape._kernels import modulator_core
+from qnshape._kernels import _quantizer_table, modulator_core
 
 STEP = 0.125
 LEVELS = 16.0
@@ -181,3 +181,77 @@ def test_modulator_core_matches_reference_property(order, dithered, npts, seed, 
 
     _, _, _, stable = _run_both(x, b, a, STEP, LEVELS, dither)
     event("ran to the end" if stable else "stopped early")
+
+
+def test_dither_at_its_bound_reaches_the_table_ends():
+    # a pure-delay loop, v[t+1] = x[t] - y[t], steered to sit on ±LIMIT
+    # while the dither sits at ±(1 - 2^-52) step: the quantizer indexes
+    # the outermost levels that the table's bound provides for
+    dmax = (1.0 - 2.0 ** -52) * STEP
+    b, a = np.array([1.0]), np.array([0.0])
+    target = np.array([0.0] + [LIMIT, -LIMIT, -LIMIT, LIMIT] * 2)
+    dither = np.where(target < 0.0, -dmax, dmax)
+    x = np.zeros(target.size)
+    for t in range(target.size - 1):
+        # y[t] depends on v[t] and d[t] only, not on x[t]
+        y_t = reference_modulator(x[:t + 1], b, a, STEP, LEVELS, dither[:t + 1])[0][t]
+        x[t] = target[t + 1] + y_t
+    y, _, _, stable = _run_both(x, b, a, STEP, LEVELS, dither)
+    assert stable
+    assert_array_equal(np.concatenate([[0.0], x[:-1] - y[:-1]]), target)
+    k = np.floor((target + dither) / STEP)
+    reach = LIMIT + dmax
+    assert (k.min(), k.max()) == (np.floor(-reach / STEP), np.floor(reach / STEP))
+    table, off = _quantizer_table(STEP, LEVELS, reach)
+    assert 0 < k.min() + off and k.max() + off < len(table) - 1
+
+
+@pytest.mark.parametrize("dithered", [False, True])
+# 2^20 levels would take a table beyond _TABLE_MAX, so the level is worked out
+@pytest.mark.parametrize("levels", [2.0, 4096.0, 2.0 ** 20])
+def test_levels_at_the_extremes(levels, dithered):
+    step = 2.0 / levels  # full scale 1
+    assert (_quantizer_table(step, levels, 10.0 + step)[0] is None) == (levels > 4096.0)
+    x, b, a, dither = _case(3, 4096, seed=11, amplitude=0.8)
+    dither = dither * (step / STEP) if dithered else np.zeros(0)
+    _run_both(x, b, a, step, levels, dither)
+
+
+def test_divergence_through_wrapping_indices():
+    # an integrator driven by DC -1.3 passes -LIMIT on the way down; the
+    # kernel runs on, its table index wraps to the top levels while the
+    # quantizer input falls, and the run raises once the index passes the
+    # table's start; the outputs still stop where the reference's do
+    n = 4096
+    x = np.full(n, -1.3)
+    y, q, _, stable = _run_both(x, np.array([1.0]), np.array([-1.0]), STEP, LEVELS,
+                                np.zeros(0))
+    assert not stable
+    stop = int(np.flatnonzero(y)[-1])
+    assert stop < 100
+    # the kernel's own run past the stop: v[t+1] = v[t] + x - table[k]
+    table, off = _quantizer_table(STEP, LEVELS, LIMIT)
+    v, indices = x[stop] - q[stop], []
+    while len(indices) < 100 and (index := int(np.floor(v / STEP)) + off) >= -len(table):
+        indices.append(index)
+        v = v + x[0] - table[index]
+    assert v < -LIMIT and min(indices) < 0 and len(indices) < 100
+
+
+@pytest.mark.parametrize("dithered", [False, True])
+@pytest.mark.parametrize("n", [1, 16])
+def test_divergence_on_first_update(n, dithered):
+    x, b, a, dither = _case(1, n, seed=2)
+    x[0] = 1e3
+    dither = dither if dithered else np.zeros(0)
+    y, q, _, stable = _run_both(x, np.array([1.0]), np.array([-1.0]), STEP, LEVELS, dither)
+    assert not stable and y[0] != 0.0
+    assert not np.any(y[1:]) and not np.any(q[1:])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_dither_is_refused(bad):
+    x, b, a, dither = _case(2, 64, seed=3)
+    dither[17] = bad
+    with pytest.raises(ValueError, match="dither must be finite"):
+        modulator_core(x, b, a, STEP, LEVELS, dither)

@@ -11,7 +11,9 @@ from round to round:
 
 - ``design_ntf`` at orders 4, 5 and 6;
 - one dithered 2^18-sample ``simulate`` of the order-4 loop followed by
-  ``measured_vs_predicted`` against the target.
+  ``measured_vs_predicted`` against the target;
+- one undithered 2^18-sample ``simulate`` of the same loop, so that the
+  modulator kernel's plain body is timed on its own.
 
 Both work on the delta-sigma test fixture's values: a 64-bin 1-notch
 wireless channel (seed 3) to 2e8 Hz at a 7.5e14 budget, OSR 12, 16 levels
@@ -26,8 +28,9 @@ Run it on one tree against itself first to see the noise floor:
 
     python3 tools/ab_time.py src src
 
-On identical code one 21-round run read 0.943 [0.898, 0.968], so a ratio no
-further from 1 than such a run's does not size a change.
+On identical code one 21-round run read 0.943 [0.898, 0.968] for the
+dithered ``simulate`` and another 1.001 [0.906, 1.041] for the undithered
+one, so a ratio no further from 1 than such a run's does not size a change.
 """
 
 import argparse
@@ -75,6 +78,8 @@ def operations(src, name):
         trace = ds.simulate(loop, cfg, x, seed=1)
         return ds.measured_vs_predicted(trace, ntf, cfg, reference=target)
     ops.append((f"simulate + measured_vs_predicted, {SAMPLES} samples", track))
+    plain = replace(cfg, dither=False)
+    ops.append((f"simulate undithered, {SAMPLES} samples", lambda: ds.simulate(loop, plain, x)))
     return ops
 
 
