@@ -58,7 +58,6 @@ from .spectral import (
     FrequencyGrid,
     Psd,
     estimate_psd,
-    from_db,
     make_grid,
     read_channel_csv,
     read_psd_csv,

@@ -35,9 +35,8 @@ def as_budget(p):
 class BitProfile:
     """Real-valued bits-per-bin profile b(f).
 
-    Negative densities are representable (they flag a quantization PSD above
-    the 1-LSB floor) and are only clamped in reporting views, never inside
-    the math.
+    Negative densities are representable: they flag a quantization PSD above
+    the 1-LSB floor, and nothing clamps them.
     """
 
     grid: FrequencyGrid
@@ -51,10 +50,6 @@ class BitProfile:
             raise ValueError("bits must be finite")
         b.setflags(write=False)
         object.__setattr__(self, "bits", b)
-
-    def clamped(self):
-        """Reporting view with negative densities floored at zero."""
-        return np.maximum(self.bits, 0.0)
 
 
 def capacity_before(ch):

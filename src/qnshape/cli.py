@@ -146,33 +146,26 @@ def cmd_partition(args):
         plan = mc.partition_equal_power(ch.noise, budget, args.n)
     else:
         plan = mc.partition_constrained(ch.noise, budget, args.n, mode=args.mode)
-    results = mc.per_band_shaping(ch.noise, plan)
+    # shaped to its share of the budget, each band of a partition mode's plan
+    # is the global optimum over its bins, so the bank's shape is the global one
+    result = sh.optimal_sq(ch.noise, budget)
 
-    freqs = np.concatenate([r.sq_opt.grid.centers for r in results])
-    sq_all = np.concatenate([r.sq_opt.values for r in results])
-    bits = np.concatenate([r.bit_profile.bits for r in results])
     os.makedirs(out, exist_ok=True)
     mc.write_plan_csv(plan, os.path.join(out, "plan.csv"))
-    sp._write_csv(os.path.join(out, "shaping.csv"), "frequency_hz,sq_opt,bits",
-                  [freqs, sq_all, bits])
-
-    marker = np.zeros(freqs.size, dtype=int)
-    pos = 0
-    for r in results:
-        marker[pos] = 1
-        pos += r.sq_opt.grid.num_bins
-    sig_db = np.interp(freqs, ch.grid.centers, sp.to_db(ch.signal.values))
-    noi_db = np.interp(freqs, ch.grid.centers, sp.to_db(ch.noise.values))
+    sh.write_shaping_csv(result, os.path.join(out, "shaping.csv"))
+    marker = np.zeros(ch.grid.num_bins, dtype=int)
+    marker[mc._snap_edges_to_bins(plan, ch.grid)[:-1]] = 1
     sp._write_csv(
         os.path.join(out, "plotdata.csv"),
         "frequency_hz,signal_db,noise_db,sq_db,band_edge_marker",
-        [freqs, sig_db, noi_db, sp.to_db(sq_all), marker],
+        [ch.grid.centers, sp.to_db(ch.signal.values), sp.to_db(ch.noise.values),
+         sp.to_db(result.sq_opt.values), marker],
     )
     entries = {
         "mode": args.mode,
         "num_bands": plan.num_bands,
         "total_power": plan.total_power,
-        "info_loss_total": float(sum(r.info_loss for r in results)),
+        "info_loss_total": result.info_loss,
     }
     for i in range(plan.num_bands):
         entries[f"band{i}_power"] = float(plan.per_band_power[i])

@@ -42,8 +42,8 @@ class ShapingResult:
     """Shaped quantization PSD with its bit profile and diagnostics.
 
     lagrange_scale is the squared bracket constant multiplying Sv^(2/3); the
-    underlying Lagrange multiplier is recoverable from it (see the
-    lagrange_multiplier property).  For the exact solve it is c^(2/3), where
+    underlying Lagrange multiplier is 2 W log2(e) lagrange_scale^1.5 for a
+    band of width W.  For the exact solve it is c^(2/3), where
     c is the common value of Sq^(3/2) / (Sv + Sq), so the multiplier keeps
     its meaning.  converged/iterations (bisection steps) are meaningful for
     the exact solve only.
@@ -56,11 +56,6 @@ class ShapingResult:
     lagrange_scale: float
     converged: bool = True
     iterations: int = 0
-
-    @property
-    def lagrange_multiplier(self):
-        w = self.sq_opt.grid.width
-        return 2.0 * w * np.log2(np.e) * self.lagrange_scale ** 1.5
 
 
 # the exact solve's bisection stops once its bracket in log c is this wide,

@@ -110,9 +110,6 @@ class ChannelSpec:
     def grid(self):
         return self.signal.grid
 
-    def snr_db(self):
-        return to_db(self.signal.values) - to_db(self.noise.values)
-
 
 def _require_finite(**params):
     """Raise ValueError naming the first non-finite keyword value."""
@@ -258,23 +255,33 @@ def _grid_from_centers(centers):
 
 
 def _read_rows(path, expected_header):
+    """The CSV body under expected_header as a 2-D float array; an error
+    names the path, and the line of a row that is short or not numeric."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != expected_header:
-            raise ValueError(f"bad header {header!r}, expected {expected_header!r}")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
+            raise ValueError(f"{path}: bad header {header!r}, expected {expected_header!r}")
+        rows = [(n, line.strip().split(",")) for n, line in enumerate(fh, 2) if line.strip()]
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
     width = expected_header.count(",") + 1
-    if any(len(row) != width for row in rows):
-        raise ValueError(f"{path}: every row needs {width} columns")
-    return np.array(rows, dtype=float)
+    data = []
+    for n, cells in rows:
+        if len(cells) != width:
+            raise ValueError(f"{path}, line {n}: every row needs {width} columns")
+        try:
+            data.append([float(cell) for cell in cells])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {n}: {exc}") from None
+    return np.array(data)
 
 
 def read_psd_csv(path):
     data = _read_rows(path, "frequency_hz,psd")
-    grid = _grid_from_centers(data[:, 0])
-    return Psd(grid, data[:, 1])
+    try:
+        return Psd(_grid_from_centers(data[:, 0]), data[:, 1])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_channel_csv(ch, path):
@@ -284,5 +291,8 @@ def write_channel_csv(ch, path):
 
 def read_channel_csv(path):
     data = _read_rows(path, "frequency_hz,signal_psd,noise_psd")
-    grid = _grid_from_centers(data[:, 0])
-    return ChannelSpec(Psd(grid, data[:, 1]), Psd(grid, data[:, 2]))
+    try:
+        grid = _grid_from_centers(data[:, 0])
+        return ChannelSpec(Psd(grid, data[:, 1]), Psd(grid, data[:, 2]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

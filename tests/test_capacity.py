@@ -114,11 +114,11 @@ class TestBitsSqConversion:
             q.bits_from_sq(q.Psd(g, [0.0, 1.0]))
 
     def test_negative_bits_pass_through_math(self):
-        # Sq above 1/12 maps to negative bit density; clamped only in reporting
+        # Sq above 1/12 maps to negative bit density; a report clamps it at zero
         g = q.make_grid(0.0, 1.0, 1)
         bp = q.bits_from_sq(q.Psd(g, [1.0]))
         assert bp.bits[0] < 0
-        assert bp.clamped()[0] == 0.0
+        assert np.maximum(bp.bits, 0.0)[0] == 0.0
 
 
 class TestPower:

@@ -186,6 +186,35 @@ class TestCapacityCommand:
         assert rc == 1
         assert "grid mismatch" in capsys.readouterr().err
 
+    CHANNEL = "frequency_hz,signal_psd,noise_psd\n1,1,1\n3,1,1\n"
+
+    def _capacity_error(self, tmp_path, capsys, channel_text, sq_text):
+        """stderr of a capacity --sq run that fails on its input files."""
+        (tmp_path / "ch.csv").write_text(channel_text)
+        (tmp_path / "sq.csv").write_text(sq_text)
+        rc = main(["capacity", "--channel", f"file:{tmp_path / 'ch.csv'}",
+                   "--sq", str(tmp_path / "sq.csv")])
+        assert rc == 1
+        return capsys.readouterr().err
+
+    def test_non_number_cell_names_file_and_line(self, tmp_path, capsys):
+        err = self._capacity_error(tmp_path, capsys, self.CHANNEL,
+                                   "frequency_hz,psd\n1,0.1\n\n3,abc\n")
+        assert err == (f"error: {tmp_path / 'sq.csv'}, line 4: "
+                       "could not convert string to float: 'abc'\n")
+
+    def test_non_finite_psd_names_file(self, tmp_path, capsys):
+        err = self._capacity_error(tmp_path, capsys, self.CHANNEL,
+                                   "frequency_hz,psd\n1,0.1\n3,inf\n")
+        assert err == f"error: {tmp_path / 'sq.csv'}: PSD values must be finite\n"
+
+    def test_nonpositive_channel_noise_names_file(self, tmp_path, capsys):
+        err = self._capacity_error(tmp_path, capsys,
+                                   "frequency_hz,signal_psd,noise_psd\n1,1,1\n3,1,0\n",
+                                   "frequency_hz,psd\n1,0.1\n3,0.1\n")
+        assert err == (f"error: {tmp_path / 'ch.csv'}: "
+                       "noise PSD must be strictly positive everywhere\n")
+
 
 class TestPartitionCommand:
     def test_equal_power_four_bands(self, tmp_path):
@@ -237,6 +266,24 @@ class TestPartitionCommand:
         sq = np.loadtxt(out / "shaping.csv", delimiter=",", skiprows=1)[:, 1]
         spent = float(np.sum(grid.delta * sq ** -0.5)) / np.sqrt(12.0)
         assert spent == pytest.approx(2e12, rel=1e-12)
+
+    @pytest.mark.parametrize("mode, n", [("equal-power", "4"), ("integer-ratio", "6"),
+                                         ("equal-bandwidth", "6")])
+    def test_partition_writes_the_shape_of_shape(self, tmp_path, mode, n):
+        # a partition mode's bands, each shaped to its share of the budget,
+        # together are the single converter's optimum
+        wireline = ["--channel", "wireline", "--bins", "256", "--power", "2e12"]
+        shape, part = tmp_path / "shape", tmp_path / "part"
+        assert main(["shape", *wireline, "--out", str(shape)]) == 0
+        assert main(["partition", *wireline, "--mode", mode, "--n", n,
+                     "--out", str(part)]) == 0
+        assert (part / "shaping.csv").read_bytes() == (shape / "shaping.csv").read_bytes()
+        first_three = [[",".join(line.split(",")[:3])
+                        for line in (d / "plotdata.csv").read_text().splitlines()[1:]]
+                       for d in (shape, part)]
+        assert first_three[0] == first_three[1]
+        assert (read_summary(part / "summary.txt")["info_loss_total"]
+                == read_summary(shape / "summary.txt")["info_loss"])
 
 
 class TestSimulateCommand:
@@ -546,28 +593,6 @@ class TestCsvBytes:
             "1,-0,0.10000000000000001,0\n"
             "2,0.33333333333333331,-0,-1e-300\n")
 
-    def test_partition_shaping(self, tmp_path, monkeypatch):
-        # the command concatenates the per-band results into one shaping.csv
-        g = q.make_grid(0.0, 0.4, 4)
-        q.write_channel_csv(q.ChannelSpec(q.Psd(g, np.ones(4)), q.Psd(g, np.ones(4))),
-                            tmp_path / "ch.csv")
-        lo, hi = q.make_grid(0.0, 0.2, 2), q.make_grid(0.2, 0.4, 1)
-        results = [
-            q.ShapingResult(q.Psd(lo, [0.1, 1 / 3]), q.BitProfile(lo, [1e-300, -0.0]),
-                            q.PowerBudget(1.0), 0.0, 1.0),
-            q.ShapingResult(q.Psd(hi, [1e-300]), q.BitProfile(hi, [-1 / 3]),
-                            q.PowerBudget(1.0), 0.0, 1.0),
-        ]
-        monkeypatch.setattr(q.multichannel, "per_band_shaping", lambda noise, plan: results)
-        out = tmp_path / "d"
-        assert main(["partition", "--channel", f"file:{tmp_path / 'ch.csv'}", "--power", "1",
-                     "--n", "2", "--mode", "equal-bandwidth", "--out", str(out)]) == 0
-        assert (out / "shaping.csv").read_text() == (
-            "frequency_hz,sq_opt,bits\n"
-            "0.050000000000000003,0.10000000000000001,1e-300\n"
-            "0.15000000000000002,0.33333333333333331,-0\n"
-            "0.30000000000000004,1e-300,-0.33333333333333331\n")
-
 
 class TestWarnings:
     @pytest.mark.parametrize("command", [["shape"], ["partition", "--n", "4"]])
@@ -584,14 +609,14 @@ class TestWarnings:
 
     def test_tilted_partition_warns_global_solve_first(self, tmp_path, capsys):
         # with the noise falling across the band the worst bin is in the last
-        # band, and the global solve's warning comes before the per-band ones
+        # band; the plan's global solve and the shape's are the same solve,
+        # so the one line is its warning, at the whole band's worst ratio
         rc = main(["partition", "--n", "4", "--noise-tilt", "-50", "--power", "1e9",
                    "--out", str(tmp_path / "d")])
         assert rc == 0
         lines = capsys.readouterr().err.splitlines()
-        assert lines and all(line.startswith("warning: quantization noise is not small")
-                             for line in lines)
-        assert len(set(lines)) == len(lines)
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: quantization noise is not small")
         assert "max Sq/Sv = 5.38e+09" in lines[0]
 
     @pytest.mark.parametrize("command, power", [

@@ -145,7 +145,7 @@ class TestClosedForm:
         g = q.make_grid(0.0, 3e6, 32)
         noise = random_smooth_psd(g, rng)
         res = q.optimal_sq(noise, q.PowerBudget(1e11))
-        lam = res.lagrange_multiplier
+        lam = 2.0 * g.width * np.log2(np.e) * res.lagrange_scale ** 1.5
         sq = res.sq_opt.values
         lhs = sq ** -0.5
         rhs = 2.0 * g.width * np.log2(np.e) / lam * sq / noise.values

@@ -2,17 +2,17 @@
 
 The set is the README's shape, partition and simulate examples; partition
 in integer-ratio mode with 6 bands and in equal-bandwidth mode with 4 bands
-and with 6 (edges inside bins, unequal declared powers); partition at a
-budget outside the small-noise regime, on the default wireline channel and
-with its noise tilt reversed, so that stderr holds the warnings; the command
-forms that the benchmark's cli-flow workload runs on input files (shape and
-capacity --sq on a channel file, partition --config); the README's simulate
-again at 5461 samples, the fewest the tracking report takes, at --bins 256,
-whose comparison bins are narrower than the report's Welch bins, and with
---step 1e200 and 1e-160, which it refuses; then simulate
---save-trace on the README's wireless channel at orders 4, 5 and 6 with and
-without --dither, on a 2-level quantizer with step 1.0 (the modulator
-diverges) and at +6 dBFS (it saturates).  The channel, quantization PSD and
+and with 6 (edges inside bins, unequal declared powers); partition and
+shape at a budget outside the small-noise regime, on the default wireline
+channel and with its noise tilt reversed, so that stderr holds each run's
+one warning; the command forms that the benchmark's cli-flow workload runs
+on input files (shape and capacity --sq on a channel file, partition
+--config); the README's simulate again at 5461 samples, the fewest the
+tracking report takes, at --bins 256, whose comparison bins are narrower
+than the report's Welch bins, and with --step 1e200 and 1e-160, which it
+refuses; then simulate --save-trace on the README's wireless channel at
+orders 4, 5 and 6 with and without --dither, on a 2-level quantizer with
+step 1.0 (the modulator diverges) and at +6 dBFS (it saturates).  The channel, quantization PSD and
 config files are written from fixed text that this script computes itself,
 not by qnshape's writers, so the inputs do not depend on the package under
 test.  Each command runs in a fresh process, with its --out in a temporary
@@ -20,9 +20,11 @@ directory.  Each line names the command, then gives its exit code, the
 sha256 of its stdout and stderr (the temporary directories' paths replaced
 by OUT and IN) and the sha256 of every file it wrote, so that a diff of two
 runs shows whether two versions of the package give byte-identical CLI
-output.  A simulate run's summary.txt hash is followed by its measured_vs_*
-tracking entries as written, so the diff also shows how far a tracking
-number moved.  Run from the repository root:
+output.  Every partition row writes the shaping.csv of a shape row with the
+same channel and budget, so their hashes must match.  A simulate run's
+summary.txt hash is followed by its measured_vs_* tracking entries as
+written, so the diff also shows how far a tracking number moved.  Run from
+the repository root:
 
     PYTHONPATH=src python3 tools/cli_matrix.py > matrix.txt
 """
@@ -68,7 +70,7 @@ def write_inputs(folder):
 def commands(channel_csv, sq_csv, config):
     """(name, argv) for each command of the matrix, given the input files."""
     wireline = ["--channel", "wireline", "--bins", "256", "--power", "2e12"]
-    out_of_regime = ["--channel", "wireline", "--bins", "256", "--power", "1e9", "--n", "4"]
+    out_of_regime = ["--channel", "wireline", "--bins", "256", "--power", "1e9"]
     wireless = ["--channel", "wireless", "--bins", "64", "--fhi", "2e8", "--notches", "1",
                 "--notch-depth", "12", "--notch-width", "6e7", "--power", "7.5e14"]
     runs = [
@@ -79,8 +81,11 @@ def commands(channel_csv, sq_csv, config):
         ("partition-equal-bandwidth", ["partition", *wireline, "--mode", "equal-bandwidth"]),
         ("partition-equal-bandwidth-n6", ["partition", *wireline, "--mode", "equal-bandwidth",
                                           "--n", "6"]),
-        ("partition-out-of-regime", ["partition", *out_of_regime]),
-        ("partition-out-of-regime-tilted", ["partition", *out_of_regime, "--noise-tilt", "-50"]),
+        ("partition-out-of-regime", ["partition", *out_of_regime, "--n", "4"]),
+        ("partition-out-of-regime-tilted", ["partition", *out_of_regime, "--n", "4",
+                                            "--noise-tilt", "-50"]),
+        ("shape-out-of-regime", ["shape", *out_of_regime]),
+        ("shape-out-of-regime-tilted", ["shape", *out_of_regime, "--noise-tilt", "-50"]),
         ("shape-file", ["shape", "--channel", f"file:{channel_csv}", "--power", "5e12"]),
         ("capacity-file-sq", ["capacity", "--channel", f"file:{channel_csv}", "--sq", sq_csv]),
         ("partition-config", ["partition", "--config", config]),
