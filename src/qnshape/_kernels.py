@@ -23,11 +23,10 @@ pure-Python body generated per loop order and quantizer mode: the state
 lives in locals, its update is unrolled, the mode is fixed per call, and it
 iterates the input (and dither) through ``memoryview``s of float64 arrays.
 It quantizes by table lookup, ``table[floor((v + d) / step) + off]``: one
-list per call holds the clipped level (k + 0.5) * step for every k that a
+list per call holds the clipped mid-rise level of every k that a
 quantizer input within ±limit and a dither within ±max|d| can reach, so
 about 10 * levels entries, those outside the levels all being the same two
-float objects, ±top.  A quantizer whose table would exceed _TABLE_MAX
-entries works the level out and clips it instead.
+float objects, ±top.
 
 The loop body tests nothing per sample.  It stores one value per sample,
 the quantizer input v, and runs on past a divergence, or raises once an
@@ -38,12 +37,11 @@ the run: the first stored v with ``not |v| <= limit``, or else the final
 state s0, the next quantizer input after the last sample.  What came after
 the stop, a negative index that wrapped included, is cut off.
 
-The quantizer rule therefore appears twice: in the loop as the scalar
-feedback u = x - y, which the recursion needs at once, and after it in
-numpy, which derives the output y, the error q = y - v and the saturation
-count from v over the samples that ran, one ufunc per float operation of
-the loop.  Both follow ``reference_modulator`` in ``tests/test_kernels.py``
-operation for operation, so every output matches it bit for bit.
+The loop needs its level at once, for the feedback u = x - y.  After it,
+numpy reads the output y from the same table at the same indices over the
+samples that ran, and derives the error q = y - v and the saturation count.
+Both follow ``reference_modulator`` in ``tests/test_kernels.py`` operation
+for operation, so every output matches it bit for bit.
 
 Measure the kernel with the layer benchmark:
 ``python3 perfbench/run.py --workload compute --seed 11 --seconds 45 --trace 1``
@@ -58,21 +56,23 @@ import numpy as np
 # there is no numba backend; perfbench's environment record reads this flag
 HAVE_NUMBA = False
 
-# the largest quantizer table built, in entries (8 MB of list): 10 * levels
-# entries keep quantizers up to about 2^16.6 levels on the table
-_TABLE_MAX = 2 ** 20
+# the most levels a quantizer may have: with a dither within ±step, its
+# table holds at most 10 * 2^16 + 7 entries (5 MB of list)
+MAX_LEVELS = 2 ** 16
 
 
 def _quantizer_table(step, levels, reach):
-    """(table, off): table[k + off] is the mid-rise level (k + 0.5) * step
-    clipped to ±top, for every k = floor(w / step) with |w| <= reach, or
-    (None, 0) when that table would exceed _TABLE_MAX entries.
+    """(table, off): table[k + off] is the mid-rise level k + 1/2 steps,
+    clipped to ±top, for every k = floor(w / step) with |w| <= reach.
+    Raises ValueError past 5 * MAX_LEVELS + 2 steps: ±10x the full scale of
+    MAX_LEVELS levels, a step of dither and one to spare for rounding.
 
     For |w| <= reach, k lies within ±(floor(reach / step) + 1), float
     rounding being monotone, and off keeps one more entry at each end."""
     span = reach / step
-    if not span < (_TABLE_MAX - 5) / 2:  # NaN and inf included
-        return None, 0
+    if not span <= 5 * MAX_LEVELS + 2:  # NaN and inf included
+        raise ValueError(f"a quantizer table reaching {span:.6g} steps out is longer "
+                         f"than that of {MAX_LEVELS} levels")
     off = math.floor(span) + 2
     top = (levels / 2.0 - 0.5) * step
     ntop = -top
@@ -85,9 +85,8 @@ def _quantizer_table(step, levels, reach):
     return table, off
 
 
-def _body_source(n, dithered, tabled):
-    """Source of the modulator loop for loop order n, plain or dithered,
-    quantizing by table lookup or by working the level out.
+def _body_source(n, dithered):
+    """Source of the modulator loop for loop order n, plain or dithered.
 
     The state s[j] becomes the local s{j}, b[j] and a[j] become b{j} and
     a{j}, and the state update is unrolled.  Each sample stores its
@@ -100,26 +99,18 @@ def _body_source(n, dithered, tabled):
     quantizer input after the last sample.  Order 0 has no state: its
     quantizer input is 0 throughout, v_out's initial zeros.
     """
-    lines = ["def _body(x, b, a, v_out, step, table, off, top, dither):"]
+    lines = ["def _body(x, b, a, v_out, step, table, off, dither):"]
     if n == 0:
         return "\n".join(lines + ["    return 0.0"]) + "\n"
     lines += [f"    {''.join(f'{c}{j}, ' for j in range(n))}= {c}" for c in "ba"]
-    lines += [f"    {' = '.join(f's{j}' for j in range(n))} = 0.0",
-              "    ntop = -top"]
+    lines += [f"    {' = '.join(f's{j}' for j in range(n))} = 0.0"]
     loop = "t, xt, d in zip(range(len(x)), x, dither)" if dithered else "t, xt in enumerate(x)"
     k = f"floor({'(v + d)' if dithered else 'v'} / step)"
     lines += [f"    for {loop}:",
               "        v = s0",
-              "        v_out[t] = v"]
-    if tabled:
-        lines += [f"        yt = table[{k} + off]"]
-    else:
-        lines += [f"        yt = ({k} + 0.5) * step",
-                  "        if yt > top:",
-                  "            yt = top",
-                  "        elif yt < ntop:",
-                  "            yt = ntop"]
-    lines += [f"        u = xt - {'(yt - d)' if dithered else 'yt'}"]
+              "        v_out[t] = v",
+              f"        yt = table[{k} + off]",
+              f"        u = xt - {'(yt - d)' if dithered else 'yt'}"]
     for j in range(n):
         head = f"s{j + 1} + " if j < n - 1 else ""
         lines += [f"        s{j} = {head}b{j} * u - a{j} * v"]
@@ -128,11 +119,10 @@ def _body_source(n, dithered, tabled):
 
 
 @functools.cache
-def _body(n, dithered, tabled):
-    """The loop body for (n, dithered, tabled), compiled on first use."""
+def _body(n, dithered):
+    """The loop body for (n, dithered), compiled on first use."""
     namespace = {"floor": math.floor}
-    source = _body_source(n, dithered, tabled)
-    exec(compile(source, f"<modulator body n={n} dithered={dithered} tabled={tabled}>",
+    exec(compile(_body_source(n, dithered), f"<modulator body n={n} dithered={dithered}>",
                  "exec"), namespace)
     return namespace["_body"]
 
@@ -150,15 +140,14 @@ def modulator_core(x, b, a, step, levels, dither):
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise ValueError("dither must be finite")
         reach += max(hi, -lo)
-    top = (levels / 2.0 - 0.5) * step
     table, off = _quantizer_table(step, levels, reach)
     y = np.zeros(x.size)
     # q holds the quantizer input v until the outputs are derived from it
     q = np.zeros(x.size)
     try:
-        last = _body(len(b), dithered, table is not None)(
+        last = _body(len(b), dithered)(
             memoryview(x), [float(c) for c in b], [float(c) for c in a], memoryview(q),
-            step, table, off, top, memoryview(dither))
+            step, table, off, memoryview(dither))
     except (OverflowError, ValueError, IndexError):
         # an out-of-range v reached floor or the table, and is stored
         last = math.nan
@@ -169,18 +158,16 @@ def modulator_core(x, b, a, step, levels, dither):
         q[ran:] = 0.0
     elif not abs(last) <= limit:
         stable = False
-    # the loop's quantizer again, one ufunc per float operation, in place
+    # the loop's k = floor((v + d) / step) again, over the samples that ran
     v, out, d = q[:ran], y[:ran], dither[:ran]
-    if dithered:
-        np.add(v, d, out=out)
-        np.divide(out, step, out=out)
-    else:
-        np.divide(v, step, out=out)
+    np.divide(np.add(v, d, out=out) if dithered else v, step, out=out)
     np.floor(out, out=out)
-    np.add(out, 0.5, out=out)
-    np.multiply(out, step, out=out)
-    sat = np.count_nonzero(out > top) + np.count_nonzero(out < -top)
-    np.clip(out, -top, top, out=out)
+    # level k clips when |k + 1/2| > (levels - 1) / 2, that is k >= levels / 2
+    # or k < -levels / 2 for even levels
+    sat = np.count_nonzero(out > levels / 2 - 1) + np.count_nonzero(out < -levels / 2)
+    np.add(out, off, out=out)
+    # every index is in range; mode "wrap" spares take a buffer of the output
+    np.take(np.array(table), out.astype(np.intp), out=out, mode="wrap")
     if dithered:
         np.subtract(out, d, out=out)
     np.subtract(out, v, out=v)

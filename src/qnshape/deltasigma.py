@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import modulator_core
+from ._kernels import MAX_LEVELS, modulator_core
 from .spectral import FrequencyGrid, Psd, _require_finite, _write_csv, estimate_psd
 
 _COEF_TOL = 1e-12
@@ -180,10 +180,11 @@ def loop_from_ntf(ntf):
 class ModulatorConfig:
     """Modulator parameters: loop order, oversampling, quantizer geometry.
 
-    The mid-rise quantizer has quantizer_levels output levels (must be even)
-    spaced by step; full scale is levels*step/2.  max_ntf_gain is the
-    Lee-style peak-gain cap used during NTF synthesis.  The quantizer's
-    noise density step^2/(12*sample_rate) must be a normal float.
+    The mid-rise quantizer has quantizer_levels output levels, an even
+    number from 2 to MAX_LEVELS = 2^16, spaced by step; full scale is
+    levels*step/2.  max_ntf_gain is the Lee-style peak-gain cap used during
+    NTF synthesis.  The quantizer's noise density step^2/(12*sample_rate)
+    must be a normal float, so full scale is finite.
     """
 
     order: int = 4
@@ -206,8 +207,9 @@ class ModulatorConfig:
             raise ValueError("osr must be >= 2")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if self.quantizer_levels < 2 or self.quantizer_levels % 2 != 0:
-            raise ValueError("quantizer_levels must be an even integer >= 2")
+        if not (2 <= self.quantizer_levels <= MAX_LEVELS and self.quantizer_levels % 2 == 0):
+            raise ValueError(f"quantizer_levels must be an even integer from 2 to {MAX_LEVELS}, "
+                             f"got {self.quantizer_levels!r}")
         if self.step <= 0:
             raise ValueError("step must be positive")
         try:
@@ -217,8 +219,6 @@ class ModulatorConfig:
         if not sys.float_info.min <= c0 < math.inf:
             raise ValueError(f"step^2/(12*sample_rate) = {c0:.3g} is not a normal float "
                              f"(step={self.step!r}, sample_rate={self.sample_rate!r})")
-        if not np.isfinite(self.full_scale):
-            raise ValueError(f"full scale levels*step/2 must be finite, got {self.full_scale}")
         if self.max_ntf_gain <= 1.0:
             raise ValueError("max_ntf_gain must exceed 1")
 

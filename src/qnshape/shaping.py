@@ -17,7 +17,7 @@ import numpy as np
 
 from . import capacity
 from .capacity import BitProfile, PowerBudget, as_budget, bits_from_sq
-from .spectral import Psd, _fmt, _write_csv, require_same_grid
+from .spectral import Psd, _SHAPING_HEADER, _fmt, _write_csv, require_same_grid
 
 _SQRT12 = np.sqrt(12.0)
 
@@ -240,7 +240,7 @@ def verify_shaping(ch, sq, budget):
 # serialization
 
 def write_shaping_csv(result, path):
-    _write_csv(path, "frequency_hz,sq_opt,bits",
+    _write_csv(path, _SHAPING_HEADER,
                [result.sq_opt.grid.centers, result.sq_opt.values, result.bit_profile.bits])
 
 

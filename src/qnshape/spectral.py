@@ -218,6 +218,7 @@ def _fmt(x):
 
 
 _CSV_BLOCK_ROWS = 4096  # rows converted to Python numbers and formatted per write
+_SHAPING_HEADER = "frequency_hz,sq_opt,bits"  # written by shaping, read by read_psd_csv
 
 
 def _write_csv(path, header, columns):
@@ -239,8 +240,16 @@ def _write_csv(path, header, columns):
             fh.write("".join(row.format(*vals) for vals in zip(*block)))
 
 
+def _readable_centers(grid):
+    """The bin centers of grid, which the readers infer it back from."""
+    if grid.num_bins < 2:
+        raise ValueError("a one-bin grid is not written: the readers need at least "
+                         "two rows to infer the frequency grid")
+    return grid.centers
+
+
 def write_psd_csv(psd, path):
-    _write_csv(path, "frequency_hz,psd", [psd.grid.centers, psd.values])
+    _write_csv(path, "frequency_hz,psd", [_readable_centers(psd.grid), psd.values])
 
 
 def _grid_from_centers(centers):
@@ -254,17 +263,18 @@ def _grid_from_centers(centers):
     return FrequencyGrid(c[0] - 0.5 * delta, c[-1] + 0.5 * delta, c.size)
 
 
-def _read_rows(path, expected_header):
-    """The CSV body under expected_header as a 2-D float array; an error
+def _read_rows(path, *headers):
+    """The CSV body under one of headers as a 2-D float array; an error
     names the path, and the line of a row that is short or not numeric."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if header != expected_header:
-            raise ValueError(f"{path}: bad header {header!r}, expected {expected_header!r}")
+        if header not in headers:
+            expected = " or ".join(repr(h) for h in headers)
+            raise ValueError(f"{path}: bad header {header!r}, expected {expected}")
         rows = [(n, line.strip().split(",")) for n, line in enumerate(fh, 2) if line.strip()]
     if not rows:
         raise ValueError(f"{path}: no data rows after the header")
-    width = expected_header.count(",") + 1
+    width = header.count(",") + 1
     data = []
     for n, cells in rows:
         if len(cells) != width:
@@ -277,7 +287,8 @@ def _read_rows(path, expected_header):
 
 
 def read_psd_csv(path):
-    data = _read_rows(path, "frequency_hz,psd")
+    """A PSD file, or the Sq column of a shaping result."""
+    data = _read_rows(path, "frequency_hz,psd", _SHAPING_HEADER)
     try:
         return Psd(_grid_from_centers(data[:, 0]), data[:, 1])
     except ValueError as exc:
@@ -286,7 +297,7 @@ def read_psd_csv(path):
 
 def write_channel_csv(ch, path):
     _write_csv(path, "frequency_hz,signal_psd,noise_psd",
-               [ch.grid.centers, ch.signal.values, ch.noise.values])
+               [_readable_centers(ch.grid), ch.signal.values, ch.noise.values])
 
 
 def read_channel_csv(path):

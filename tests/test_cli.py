@@ -148,6 +148,18 @@ class TestCapacityCommand:
         assert float(cap_summary["info_loss_small_noise_bits_per_s"]) == pytest.approx(
             float(summary["info_loss"]), rel=1e-12)
 
+    def test_reads_shape_output(self, tmp_path, capsys):
+        # capacity --sq reads the Sq column of shape's shaping.csv as it is
+        channel = ["--channel", "wireline", "--bins", "64"]
+        assert main(["shape", *channel, "--power", str(WIRELINE_BUDGET),
+                     "--out", str(tmp_path / "shape")]) == 0
+        summary = read_summary(tmp_path / "shape" / "summary.txt")
+        assert main(["capacity", *channel, "--sq", str(tmp_path / "shape" / "shaping.csv"),
+                     "--out", str(tmp_path / "cap")]) == 0
+        cap_summary = read_summary(tmp_path / "cap" / "summary.txt")
+        assert float(cap_summary["info_loss_small_noise_bits_per_s"]) == pytest.approx(
+            float(summary["info_loss"]), rel=1e-12)
+
     def test_header_only_channel_file(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("frequency_hz,signal_psd,noise_psd\n")
@@ -369,6 +381,8 @@ class TestSimulateCommand:
                             "(step=1e+200, sample_rate=4800000000.0)"),
         ("--step", "1e-160", "step^2/(12*sample_rate) = 0 is not a normal float "
                              "(step=1e-160, sample_rate=4800000000.0)"),
+        ("--levels", "65538", "quantizer_levels must be an even integer from 2 to 65536, "
+                              "got 65538"),
         ("--max-ntf-gain", "nan", "max_ntf_gain must be finite, got nan"),
         ("--max-ntf-gain", "inf", "max_ntf_gain must be finite, got inf"),
     ])

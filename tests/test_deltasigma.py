@@ -445,10 +445,16 @@ class TestModulatorConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             q.ModulatorConfig(step=step, sample_rate=sample_rate)
 
-    def test_infinite_full_scale_rejected(self):
-        # an infinite divergence limit would let an infinite quantizer input through
-        with pytest.raises(ValueError, match="full scale"):
-            q.ModulatorConfig(quantizer_levels=2 * 10 ** 300, step=1e10)
+    # 2 * 10**300 levels of step 1e10 would also make full scale infinite
+    @pytest.mark.parametrize("levels", [65538, 2 ** 20, 2 * 10 ** 300],
+                             ids=["65538", "2^20", "2e300"])
+    def test_levels_beyond_the_cap_rejected(self, levels):
+        message = f"quantizer_levels must be an even integer from 2 to 65536, got {levels}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            q.ModulatorConfig(quantizer_levels=levels, step=1e10)
+
+    def test_most_levels_accepted(self):
+        assert q.ModulatorConfig(quantizer_levels=65536).quantizer_levels == 65536
 
 
 IDENTITY_MODES = ((False, "plain"), (True, "dithered"))

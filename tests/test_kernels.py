@@ -9,7 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from qnshape._kernels import _quantizer_table, modulator_core
+from qnshape._kernels import MAX_LEVELS, _quantizer_table, modulator_core
 
 STEP = 0.125
 LEVELS = 16.0
@@ -207,14 +207,21 @@ def test_dither_at_its_bound_reaches_the_table_ends():
 
 
 @pytest.mark.parametrize("dithered", [False, True])
-# 2^20 levels would take a table beyond _TABLE_MAX, so the level is worked out
-@pytest.mark.parametrize("levels", [2.0, 4096.0, 2.0 ** 20])
+# 2^16 levels, the most a quantizer may have, take the longest table
+@pytest.mark.parametrize("levels", [2.0, 4096.0, float(MAX_LEVELS)])
 def test_levels_at_the_extremes(levels, dithered):
     step = 2.0 / levels  # full scale 1
-    assert (_quantizer_table(step, levels, 10.0 + step)[0] is None) == (levels > 4096.0)
+    assert len(_quantizer_table(step, levels, 10.0 + step)[0]) <= 10 * levels + 7
     x, b, a, dither = _case(3, 4096, seed=11, amplitude=0.8)
     dither = dither * (step / STEP) if dithered else np.zeros(0)
     _run_both(x, b, a, step, levels, dither)
+
+
+def test_table_beyond_the_most_levels_is_refused():
+    # 2^20 levels reach 5 * 2^20 steps out, beyond the table of 2^16 levels
+    x, b, a, _ = _case(3, 64, seed=11)
+    with pytest.raises(ValueError, match="longer than that of 65536 levels"):
+        modulator_core(x, b, a, 2.0 ** -19, 2.0 ** 20, np.zeros(0))
 
 
 def test_divergence_through_wrapping_indices():

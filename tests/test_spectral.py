@@ -203,6 +203,38 @@ class TestCsvRoundTrip:
         assert_array_equal(back.signal.values, ch.signal.values)
         assert_array_equal(back.noise.values, ch.noise.values)
 
+    def test_two_bins(self, tmp_path):
+        # the fewest bins that the readers can infer a grid from
+        g = q.make_grid(0.0, 0.2, 2)
+        ch = q.ChannelSpec(q.Psd(g, [1 / 3, 0.0]), q.Psd(g, [0.1, 1e-300]))
+        q.write_psd_csv(ch.signal, tmp_path / "psd.csv")
+        q.write_channel_csv(ch, tmp_path / "ch.csv")
+        psd, back = q.read_psd_csv(tmp_path / "psd.csv"), q.read_channel_csv(tmp_path / "ch.csv")
+        for grid in (psd.grid, back.grid):
+            assert grid.num_bins == 2
+            assert_allclose([grid.f_lo, grid.f_hi], [0.0, 0.2], rtol=1e-12, atol=1e-15)
+        assert_array_equal(psd.values, ch.signal.values)
+        assert_array_equal(back.signal.values, ch.signal.values)
+        assert_array_equal(back.noise.values, ch.noise.values)
+
+    def test_one_bin_write_refused(self, tmp_path):
+        # the readers infer the grid from bin centers, so one bin cannot come back
+        g = q.make_grid(0.0, 100.0, 1)
+        ch = q.ChannelSpec(q.Psd(g, [1.0]), q.Psd(g, [1.0]))
+        message = "need at least two rows to infer the frequency grid"
+        with pytest.raises(ValueError, match=message):
+            q.write_psd_csv(ch.signal, tmp_path / "psd.csv")
+        with pytest.raises(ValueError, match=message):
+            q.write_channel_csv(ch, tmp_path / "ch.csv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_shaping_result_read_as_psd(self, tmp_path):
+        g = q.make_grid(0.0, 0.2, 2)
+        result = q.ShapingResult(q.Psd(g, [1 / 3, 1e-300]), q.BitProfile(g, [-0.0, 0.1]),
+                                 q.PowerBudget(1.0), 0.0, 1.0)
+        q.write_shaping_csv(result, tmp_path / "shaping.csv")
+        assert_array_equal(q.read_psd_csv(tmp_path / "shaping.csv").values, [1 / 3, 1e-300])
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("freq,psd\n1,2\n")
