@@ -95,7 +95,7 @@ def cmd_shape(args):
             "power_budget": budget.p,
             "power_residual": report.power_residual,
             "info_loss": report.info_loss,
-            "loss_vs_closed_form": report.loss_vs_closed_form,
+            "loss_vs_closed_form": analytic.info_loss - numeric.info_loss,
             "max_sq_over_noise": report.max_sq_over_noise,
             "max_noise_over_signal": report.max_noise_over_signal,
             "min_bits": report.min_bits,

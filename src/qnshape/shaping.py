@@ -5,7 +5,8 @@ power constraint; evaluating it with the discrete band sum makes the
 constraint exact on the grid.  That law is the small-noise limit of the
 optimum.  optimal_sq_numerical solves the same loss exactly (one cubic per
 bin and a bisection on the Lagrange multiplier) and serves as a cross-check
-of the closed form, not as the production path.
+of the closed form, not as the production path.  verify_shaping measures a
+candidate shape against its budget and solves nothing.
 """
 
 import os
@@ -95,9 +96,9 @@ def optimal_sq(noise, budget):
 
     Sq(f) = Sv(f)^(2/3) * [ integral(Sv^(-1/3)) / (sqrt(12)*P) ]^2, evaluated
     with the grid's own Riemann sum so the power constraint holds exactly.
-    The package's one closed-form solve, for the partition functions and
-    verify_shaping too: each solve outside the small-noise regime (max Sq/Sv
-    above SMALLNESS_WARN_RATIO) warns with that ratio, and still returns.
+    The package's one closed-form solve, for the partition functions too:
+    each solve outside the small-noise regime (max Sq/Sv above
+    SMALLNESS_WARN_RATIO) warns with that ratio, and still returns.
     """
     _check_noise(noise)
     budget = as_budget(budget)
@@ -199,37 +200,33 @@ def optimal_sq_numerical(ch, budget, cfg=None):
 
 @dataclass(frozen=True)
 class ShapingReport:
-    """Constraint residual, loss figures, and small-PSD validity margins."""
+    """Constraint residual, small-noise loss, and small-PSD validity margins."""
 
     power_residual: float
     info_loss: float
-    loss_vs_closed_form: float
     max_sq_over_noise: float
     max_noise_over_signal: float
     min_bits: float
 
 
 def verify_shaping(ch, sq, budget):
-    """Check a candidate quantization PSD against its budget and the closed form.
+    """Measure a candidate quantization PSD against its budget.
 
     Reports (never raises on) power mismatch; the margins quantify how far
     the small-noise assumptions are stretched, and min_bits surfaces any
-    negative-bit condition.  The comparison solve is optimal_sq's, so a
-    budget outside the small-noise regime warns as optimal_sq does.
+    negative-bit condition.  It runs no solve and so never warns; the solve
+    that made the candidate warns for it.
     """
     budget = as_budget(budget)
     require_same_grid(ch.grid, sq.grid, "channel and quantization PSD")
     achieved = capacity.power_of_sq(sq).p
-    loss = capacity.info_loss(ch.noise, sq)
-    closed = optimal_sq(ch.noise, budget)
     sx = ch.signal.values
     total_noise = ch.noise.values + sq.values
     with np.errstate(divide="ignore"):
         noise_over_signal = np.where(sx > 0, total_noise / np.where(sx > 0, sx, 1.0), np.inf)
     return ShapingReport(
         power_residual=(achieved - budget.p) / budget.p,
-        info_loss=loss,
-        loss_vs_closed_form=loss - closed.info_loss,
+        info_loss=capacity.info_loss(ch.noise, sq),
         max_sq_over_noise=float(np.max(sq.values / ch.noise.values)),
         max_noise_over_signal=float(np.max(noise_over_signal)),
         min_bits=float(np.min(bits_from_sq(sq).bits)),

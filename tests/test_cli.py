@@ -9,7 +9,7 @@ import qnshape as q
 from qnshape import cli
 from qnshape.cli import main
 
-from conftest import WIRELINE_BUDGET
+from conftest import WIRELESS_BUDGET, WIRELINE_BUDGET
 
 
 def read_summary(path):
@@ -42,6 +42,35 @@ class TestShapeCommand:
         assert lines[0] == "frequency_hz,signal_db,noise_db,sq_analytic_db,sq_numeric_db"
         assert len(lines) == 257
         assert (out / "shaping.csv").exists()
+
+    def test_one_closed_form_solve(self, tmp_path, monkeypatch):
+        calls = []
+        closed_form = q.shaping.optimal_sq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return closed_form(*args, **kwargs)
+
+        monkeypatch.setattr(q.shaping, "optimal_sq", counting)
+        assert main(["shape", "--channel", "wireline", "--bins", "64",
+                     "--power", str(WIRELINE_BUDGET), "--out", str(tmp_path / "d")]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("channel, power", [
+        ("wireline", WIRELINE_BUDGET), ("wireless", WIRELESS_BUDGET), ("wireline", 1e9)])
+    def test_loss_vs_closed_form_is_the_exact_solves_gain(self, tmp_path, channel, power):
+        # the closed form's loss over the exact solve's, which is the least
+        # loss within the budget
+        out = tmp_path / "d"
+        assert main(["shape", "--channel", channel, "--bins", "256", "--power", str(power),
+                     "--out", str(out)]) == 0
+        summary = {k: float(v) for k, v in read_summary(out / "summary.txt").items()
+                   if k in ("info_loss", "numeric_info_loss", "loss_vs_closed_form")}
+        excess = summary["loss_vs_closed_form"]
+        assert excess == summary["info_loss"] - summary["numeric_info_loss"]
+        assert excess >= -1e-12 * summary["info_loss"]
+        if power == 1e9:
+            assert excess > 0
 
     def test_missing_channel_file(self, tmp_path, capsys):
         out = tmp_path / "d"

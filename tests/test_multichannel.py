@@ -349,8 +349,7 @@ class TestOutOfRegimeWarning:
         lambda ch, b: q.partition_equal_power(ch.noise, b, 4),
         lambda ch, b: q.partition_constrained(ch.noise, b, 4, mode="equal-bandwidth"),
         lambda ch, b: q.partition_constrained(ch.noise, b, 4, mode="integer-ratio"),
-        lambda ch, b: q.verify_shaping(ch, ch.noise, b),
-    ], ids=["equal-power", "equal-bandwidth", "integer-ratio", "verify"])
+    ], ids=["equal-power", "equal-bandwidth", "integer-ratio"])
     def test_global_solve_warns(self, wireline_fixture, solve):
         ch, _ = wireline_fixture
         with pytest.warns(UserWarning, match="not small"):
@@ -359,8 +358,7 @@ class TestOutOfRegimeWarning:
     @pytest.mark.parametrize("solve", [
         lambda ch, b: q.optimal_sq(ch.noise, b),
         lambda ch, b: q.partition_equal_power(ch.noise, b, 4),
-        lambda ch, b: q.verify_shaping(ch, ch.noise, b),
-    ], ids=["optimal-sq", "equal-power", "verify"])
+    ], ids=["optimal-sq", "equal-power"])
     def test_warning_names_the_callers_line(self, wireline_fixture, solve):
         # the first frame outside the package, not the library line that
         # made the solve

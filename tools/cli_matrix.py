@@ -23,8 +23,8 @@ runs shows whether two versions of the package give byte-identical CLI
 output.  Every partition row writes the shaping.csv of a shape row with the
 same channel and budget, so their hashes must match.  A simulate run's
 summary.txt hash is followed by its measured_vs_* tracking entries as
-written, so the diff also shows how far a tracking number moved.  Run from
-the repository root:
+written, and a shape run's by its loss_vs_closed_form entry, so the diff
+also shows how far such a number moved.  Run from the repository root:
 
     PYTHONPATH=src python3 tools/cli_matrix.py > matrix.txt
 """
@@ -134,7 +134,7 @@ def fingerprint(argv, inputs):
             fields.append(f"{fname}={_sha(data)}")
             if fname == "summary.txt":
                 fields += [line for line in data.decode().splitlines()
-                           if line.startswith("measured_vs_")]
+                           if line.startswith(("measured_vs_", "loss_vs_closed_form="))]
     return " ".join(fields)
 
 
