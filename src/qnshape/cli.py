@@ -86,6 +86,7 @@ def cmd_shape(args):
     analytic = sh.optimal_sq(ch.noise, budget)
     numeric = sh.optimal_sq_numerical(ch, budget)
     report = sh.verify_shaping(ch, analytic.sq_opt, budget)
+    numeric_loss = cap.info_loss(ch.noise, numeric.sq_opt)
     gap_db = sp.to_db(numeric.sq_opt.values) - sp.to_db(analytic.sq_opt.values)
 
     os.makedirs(out, exist_ok=True)
@@ -95,12 +96,12 @@ def cmd_shape(args):
             "power_budget": budget.p,
             "power_residual": report.power_residual,
             "info_loss": report.info_loss,
-            "loss_vs_closed_form": analytic.info_loss - numeric.info_loss,
+            "loss_vs_closed_form": report.info_loss - numeric_loss,
             "max_sq_over_noise": report.max_sq_over_noise,
             "max_noise_over_signal": report.max_noise_over_signal,
             "min_bits": report.min_bits,
             "lagrange_scale": analytic.lagrange_scale,
-            "numeric_info_loss": numeric.info_loss,
+            "numeric_info_loss": numeric_loss,
             "numeric_converged": numeric.converged,
             "numeric_max_gap_db": float(np.max(np.abs(gap_db))),
         },
@@ -165,7 +166,7 @@ def cmd_partition(args):
         "mode": args.mode,
         "num_bands": plan.num_bands,
         "total_power": plan.total_power,
-        "info_loss_total": result.info_loss,
+        "info_loss_total": cap.info_loss(ch.noise, result.sq_opt),
     }
     for i in range(plan.num_bands):
         entries[f"band{i}_power"] = float(plan.per_band_power[i])

@@ -5,8 +5,9 @@ power constraint; evaluating it with the discrete band sum makes the
 constraint exact on the grid.  That law is the small-noise limit of the
 optimum.  optimal_sq_numerical solves the same loss exactly (one cubic per
 bin and a bisection on the Lagrange multiplier) and serves as a cross-check
-of the closed form, not as the production path.  verify_shaping measures a
-candidate shape against its budget and solves nothing.
+of the closed form, not as the production path.  A solve returns the shape
+and multiplier it decides and measures nothing: verify_shaping and the
+capacity functions (info_loss, power_of_sq, bits_from_sq) measure a shape.
 """
 
 import os
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import capacity
-from .capacity import BitProfile, PowerBudget, as_budget, bits_from_sq
+from .capacity import as_budget, bits_from_sq
 from .spectral import Psd, _SHAPING_HEADER, _fmt, _write_csv, require_same_grid
 
 _SQRT12 = np.sqrt(12.0)
@@ -40,20 +41,19 @@ def _stacklevel_outside_package():
 
 @dataclass(frozen=True, eq=False)
 class ShapingResult:
-    """Shaped quantization PSD with its bit profile and diagnostics.
+    """The quantization PSD a solve decides, with its multiplier.
 
-    lagrange_scale is the squared bracket constant multiplying Sv^(2/3); the
-    underlying Lagrange multiplier is 2 W log2(e) lagrange_scale^1.5 for a
-    band of width W.  For the exact solve it is c^(2/3), where
-    c is the common value of Sq^(3/2) / (Sv + Sq), so the multiplier keeps
-    its meaning.  converged/iterations (bisection steps) are meaningful for
-    the exact solve only.
+    It holds what the solve decided and no measure of it: info_loss,
+    power_of_sq and bits_from_sq measure sq_opt, and verify_shaping measures
+    it against a budget.  lagrange_scale is the squared bracket constant
+    multiplying Sv^(2/3); the underlying Lagrange multiplier is
+    2 W log2(e) lagrange_scale^1.5 for a band of width W.  For the exact
+    solve it is c^(2/3), where c is the common value of Sq^(3/2) / (Sv + Sq),
+    so the multiplier keeps its meaning.  converged/iterations (bisection
+    steps) are meaningful for the exact solve only.
     """
 
     sq_opt: Psd
-    bit_profile: BitProfile
-    achieved_power: PowerBudget
-    info_loss: float
     lagrange_scale: float
     converged: bool = True
     iterations: int = 0
@@ -91,6 +91,14 @@ def _closed_form_scale(sv, delta, p):
     return scale
 
 
+def _nonzero(sq, p):
+    """sq, or a ValueError naming the budget p when a bin underflowed to 0."""
+    if not np.all(sq.values > 0):
+        raise ValueError(f"power budget {p:g} is out of range for this channel: the "
+                         f"quantization PSD underflows to 0 in some bin")
+    return sq
+
+
 def optimal_sq(noise, budget):
     """Closed-form information-maximizing quantization noise shape.
 
@@ -98,13 +106,14 @@ def optimal_sq(noise, budget):
     with the grid's own Riemann sum so the power constraint holds exactly.
     The package's one closed-form solve, for the partition functions too:
     each solve outside the small-noise regime (max Sq/Sv above
-    SMALLNESS_WARN_RATIO) warns with that ratio, and still returns.
+    SMALLNESS_WARN_RATIO) warns with that ratio, and still returns.  A
+    budget whose shape underflows to 0 in some bin raises, naming it.
     """
     _check_noise(noise)
     budget = as_budget(budget)
     g = noise.grid
     scale = _closed_form_scale(noise.values, g.delta, budget.p)
-    sq = Psd(g, noise.values ** (2.0 / 3.0) * scale)
+    sq = _nonzero(Psd(g, noise.values ** (2.0 / 3.0) * scale), budget.p)
     ratio = float(np.max(sq.values / noise.values))
     if ratio > SMALLNESS_WARN_RATIO:
         warnings.warn(
@@ -114,13 +123,7 @@ def optimal_sq(noise, budget):
             UserWarning,
             stacklevel=_stacklevel_outside_package(),
         )
-    return ShapingResult(
-        sq_opt=sq,
-        bit_profile=bits_from_sq(sq),
-        achieved_power=capacity.power_of_sq(sq),
-        info_loss=capacity.info_loss(noise, sq),
-        lagrange_scale=scale,
-    )
+    return ShapingResult(sq_opt=sq, lagrange_scale=scale)
 
 
 def _stationary_u(kappa):
@@ -154,10 +157,8 @@ def optimal_sq_numerical(ch, budget, cfg=None):
     raised.  cfg is unused.
     """
     budget = as_budget(budget)
-    noise = ch.noise
-    _check_noise(noise)
-    g = noise.grid
-    sv = noise.values
+    _check_noise(ch.noise)
+    g, sv = ch.noise.grid, ch.noise.values
     scale = _closed_form_scale(sv, g.delta, budget.p)
     inv_root_sv = sv ** -0.5
     hi = 1.5 * np.log(scale)
@@ -186,12 +187,8 @@ def optimal_sq_numerical(ch, budget, cfg=None):
             break
 
     # scaling Sq by g^2 scales the power by 1/g
-    sq = Psd(g, sv * (u * excess) ** 2)
     return ShapingResult(
-        sq_opt=sq,
-        bit_profile=bits_from_sq(sq),
-        achieved_power=capacity.power_of_sq(sq),
-        info_loss=capacity.info_loss(noise, sq),
+        sq_opt=_nonzero(Psd(g, sv * (u * excess) ** 2), budget.p),
         lagrange_scale=float(np.exp(2.0 * t / 3.0)),
         converged=converged,
         iterations=iters,
@@ -238,7 +235,7 @@ def verify_shaping(ch, sq, budget):
 
 def write_shaping_csv(result, path):
     _write_csv(path, _SHAPING_HEADER,
-               [result.sq_opt.grid.centers, result.sq_opt.values, result.bit_profile.bits])
+               [result.sq_opt.grid.centers, result.sq_opt.values, bits_from_sq(result.sq_opt).bits])
 
 
 def write_summary(entries, path):

@@ -610,13 +610,12 @@ class TestCsvBytes:
 
     def test_shaping(self, tmp_path):
         g = q.make_grid(0.0, 0.2, 2)
-        result = q.ShapingResult(q.Psd(g, [1 / 3, 1e-300]), q.BitProfile(g, [-0.0, 0.1]),
-                                 q.PowerBudget(1.0), 0.0, 1.0)
+        result = q.ShapingResult(q.Psd(g, [1 / 12, 1e-300]), 1.0)
         q.write_shaping_csv(result, tmp_path / "shaping.csv")
         assert (tmp_path / "shaping.csv").read_text() == (
             "frequency_hz,sq_opt,bits\n"
-            "0.050000000000000003,0.33333333333333331,-0\n"
-            "0.15000000000000002,1e-300,0.10000000000000001\n")
+            "0.050000000000000003,0.083333333333333329,-0\n"
+            "0.15000000000000002,1e-300,496.49673298274377\n")
 
     def test_plan(self, tmp_path):
         plan = q.PartitionPlan(edges=[0.0, 0.1, 1 / 3], per_band_power=[1 / 3, 1e-300])
@@ -635,6 +634,9 @@ class TestCsvBytes:
             "0,0.10000000000000001,1e-300,0.33333333333333331\n"
             "1,-0,0.10000000000000001,0\n"
             "2,0.33333333333333331,-0,-1e-300\n")
+
+
+_FLOOR_300 = ["--noise-floor", "-300", "--noise-tilt", "0"]
 
 
 class TestWarnings:
@@ -667,10 +669,13 @@ class TestWarnings:
         (["partition", "--n", "4"], "1e-300"), (["partition", "--n", "4"], "1e300"),
         (["simulate", "--channel", "wireless", "--bins", "64", "--fhi", "2e8"], "1e-150"),
         (["simulate", "--channel", "wireless", "--bins", "64", "--fhi", "2e8"], "1e300"),
+        (["shape", *_FLOOR_300], "1e170"), (["partition", "--n", "4", *_FLOOR_300], "1e170"),
+        (["simulate", "--bins", "64", "--samples", "6000", *_FLOOR_300], "1e170"),
     ])
     def test_out_of_range_budget_is_named(self, tmp_path, capsys, command, power):
         # the closed-form scale (1e-300, 1e-150, 1e300) or the exact solve's
-        # multiplier (1e160) leaves the float range
+        # multiplier (1e160) leaves the float range, or the closed-form shape
+        # underflows to 0 in a bin (1e170 over a flat -300 dB noise floor)
         out = tmp_path / "d"
         assert main([*command, "--power", power, "--out", str(out)]) == 1
         err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -84,7 +85,8 @@ class TestClosedForm:
         closed = q.optimal_sq(ch.noise, budget)
         numeric = q.optimal_sq_numerical(ch, budget, q.SearchConfig(seed=1))
         gap_db = 10.0 * np.log10(numeric.sq_opt.values / closed.sq_opt.values)
-        assert numeric.info_loss == pytest.approx(closed.info_loss, rel=0.01)
+        assert q.info_loss(ch.noise, numeric.sq_opt) == pytest.approx(
+            q.info_loss(ch.noise, closed.sq_opt), rel=0.01)
         assert np.max(np.abs(gap_db)) < 0.5
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -96,7 +98,7 @@ class TestClosedForm:
             noise = q.Psd(g, 10.0 ** rng.uniform(-12, -2, k))
             p = float(10.0 ** rng.uniform(0, 14))
             res = q.optimal_sq(noise, q.PowerBudget(p))
-            assert abs(res.achieved_power.p - p) / p < 1e-9
+            assert abs(q.power_of_sq(res.sq_opt).p - p) / p < 1e-9
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_shape_law(self):
@@ -113,7 +115,7 @@ class TestClosedForm:
         ch, budget = wireline_fixture
         res = q.optimal_sq(ch.noise, budget)
         # noise rises with frequency on the wireline fixture
-        assert np.all(np.diff(res.bit_profile.bits) < 0)
+        assert np.all(np.diff(q.bits_from_sq(res.sq_opt).bits) < 0)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_single_bin_band(self):
@@ -129,7 +131,7 @@ class TestClosedForm:
         budget = q.PowerBudget(1e13)  # deep small-noise regime: bias negligible
         res = q.optimal_sq(noise, budget)
         assert np.max(res.sq_opt.values / noise.values) < 1e-4
-        opt_loss = res.info_loss
+        opt_loss = q.info_loss(noise, res.sq_opt)
         delta = g.delta
         for _ in range(1000):
             pert = res.sq_opt.values * np.exp(1e-3 * rng.standard_normal(64))
@@ -167,13 +169,14 @@ class TestNumericalOptimizer:
     def test_power_met_within_tolerance(self, wireline_fixture):
         ch, budget = wireline_fixture
         res = q.optimal_sq_numerical(ch, budget, q.SearchConfig(seed=2))
-        assert abs(res.achieved_power.p - budget.p) / budget.p < 1e-6
+        assert abs(q.power_of_sq(res.sq_opt).p - budget.p) / budget.p < 1e-6
 
     def test_loss_decreases_with_budget(self):
         g = q.make_grid(0.0, 1.0, 16)
         ch = q.ChannelSpec(q.Psd(g, np.full(16, 1e4)), q.Psd(g, np.ones(16)))
         losses = [
-            q.optimal_sq_numerical(ch, q.PowerBudget(p), q.SearchConfig(seed=3)).info_loss
+            q.info_loss(ch.noise, q.optimal_sq_numerical(ch, q.PowerBudget(p),
+                                                         q.SearchConfig(seed=3)).sq_opt)
             for p in (1e2, 1e4, 1e9)
         ]
         assert losses[0] > losses[1] > losses[2] > 0
@@ -197,19 +200,20 @@ class TestNumericalOptimizer:
         budget = q.PowerBudget(10.0 ** log_p)
         res = q.optimal_sq_numerical(ch, budget)
         assert res.converged
-        assert abs(res.achieved_power.p - budget.p) / budget.p <= 1e-12
+        assert abs(q.power_of_sq(res.sq_opt).p - budget.p) / budget.p <= 1e-12
         sq = res.sq_opt.values
         stationary = sq ** 1.5 / (sv + sq)
         assert_allclose(stationary, stationary[0], rtol=1e-9, atol=0.0)
+        loss = q.info_loss(ch.noise, res.sq_opt)
         closed = q.optimal_sq(ch.noise, budget)
-        assert res.info_loss <= closed.info_loss * (1.0 + 1e-12)
+        assert loss <= q.info_loss(ch.noise, closed.sq_opt) * (1.0 + 1e-12)
         # any other shape, scaled to the same power (Sq * g^2 has power p / g),
         # loses at least as much
         shape = 10.0 ** data.draw(arrays(float, k, elements=st.floats(-3.0, 3.0)),
                                   label="log_shape")
         scale = q.power_of_sq(q.Psd(g, shape)).p / budget.p
         other = q.Psd(g, shape * scale ** 2)
-        assert res.info_loss <= q.info_loss(ch.noise, other) * (1.0 + 1e-12)
+        assert loss <= q.info_loss(ch.noise, other) * (1.0 + 1e-12)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     @settings(max_examples=30, deadline=None)
@@ -230,7 +234,7 @@ class TestVerifyShaping:
         res = q.optimal_sq(ch.noise, budget)
         rep = q.verify_shaping(ch, res.sq_opt, budget)
         assert abs(rep.power_residual) < 1e-9
-        assert rep.info_loss == res.info_loss
+        assert rep.info_loss == q.info_loss(ch.noise, res.sq_opt)
         assert rep.max_sq_over_noise < 0.1
 
     def test_flat_profile_is_suboptimal(self, wireline_fixture):
@@ -239,7 +243,7 @@ class TestVerifyShaping:
         flat = q.Psd(g, np.full(g.num_bins, g.width ** 2 / (12.0 * budget.p ** 2)))
         rep = q.verify_shaping(ch, flat, budget)
         assert abs(rep.power_residual) < 1e-9
-        assert rep.info_loss > q.optimal_sq(ch.noise, budget).info_loss
+        assert rep.info_loss > q.info_loss(ch.noise, q.optimal_sq(ch.noise, budget).sq_opt)
 
     def test_wrong_power_reported_not_raised(self, wireline_fixture):
         ch, budget = wireline_fixture
@@ -271,6 +275,35 @@ class TestVerifyShaping:
         assert rep.max_sq_over_noise == 1.0
 
 
+def test_solves_measure_nothing(wireline_fixture, monkeypatch):
+    # a solve returns the shape and multiplier it decides; the capacity
+    # functions measure the shape
+    ch, budget = wireline_fixture
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a solve measured its shape")
+
+    monkeypatch.setattr(q.capacity, "info_loss", forbidden)
+    monkeypatch.setattr(q.capacity, "power_of_sq", forbidden)
+    monkeypatch.setattr(q.shaping, "bits_from_sq", forbidden)
+    closed = q.optimal_sq(ch.noise, budget)
+    numeric = q.optimal_sq_numerical(ch, budget)
+    assert numeric.converged and closed.sq_opt.values.shape == numeric.sq_opt.values.shape
+    assert [f.name for f in dataclasses.fields(q.ShapingResult)] == [
+        "sq_opt", "lagrange_scale", "converged", "iterations"]
+
+
+@pytest.mark.parametrize("solve", [lambda ch, p: q.optimal_sq(ch.noise, p),
+                                   q.optimal_sq_numerical], ids=["closed_form", "exact"])
+def test_zero_bin_names_the_budget(solve):
+    # Sq in the 1e-300 bin is about 5e-343 by the closed form (and the exact
+    # solve agrees there), which underflows to 0
+    g = q.make_grid(0.0, 1.0, 4)
+    ch = q.ChannelSpec(q.Psd(g, np.ones(4)), q.Psd(g, [1e-300, 1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"^power budget 1e\+170 is out of range"):
+        solve(ch, q.PowerBudget(1e170))
+
+
 def test_shaping_serialization(tmp_path, wireline_fixture):
     ch, budget = wireline_fixture
     res = q.optimal_sq(ch.noise, budget)
@@ -282,7 +315,7 @@ def test_shaping_serialization(tmp_path, wireline_fixture):
     f0, sq0, b0 = map(float, lines[1].split(","))
     assert f0 == ch.grid.centers[0]
     assert sq0 == res.sq_opt.values[0]
-    assert b0 == res.bit_profile.bits[0]
+    assert b0 == q.bits_from_sq(res.sq_opt).bits[0]
 
     q.write_summary({"alpha": 1.5, "n": 3, "ok": True}, tmp_path / "summary.txt")
     text = (tmp_path / "summary.txt").read_text()

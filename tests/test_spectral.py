@@ -230,10 +230,9 @@ class TestCsvRoundTrip:
 
     def test_shaping_result_read_as_psd(self, tmp_path):
         g = q.make_grid(0.0, 0.2, 2)
-        result = q.ShapingResult(q.Psd(g, [1 / 3, 1e-300]), q.BitProfile(g, [-0.0, 0.1]),
-                                 q.PowerBudget(1.0), 0.0, 1.0)
+        result = q.ShapingResult(q.Psd(g, [1 / 12, 1e-300]), 1.0)
         q.write_shaping_csv(result, tmp_path / "shaping.csv")
-        assert_array_equal(q.read_psd_csv(tmp_path / "shaping.csv").values, [1 / 3, 1e-300])
+        assert_array_equal(q.read_psd_csv(tmp_path / "shaping.csv").values, [1 / 12, 1e-300])
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
