@@ -29,6 +29,8 @@ from .spectral import _fmt
 _WIRELINE_PARAMS = {"noise_floor": "noise_floor", "noise_tilt": "noise_tilt"}
 _WIRELESS_PARAMS = {"notches": "num_notches", "notch_depth": "notch_depth",
                     "notch_width": "notch_width", "noise_floor": "noise_floor"}
+# the generator flags each generated channel reads; a file: channel reads none
+_CHANNEL_PARAMS = {"wireline": _WIRELINE_PARAMS, "wireless": _WIRELESS_PARAMS}
 _MODULATOR_PARAMS = {"order": "order", "osr": "osr", "levels": "quantizer_levels",
                      "step": "step", "max_ntf_gain": "max_ntf_gain", "dither": "dither"}
 
@@ -46,8 +48,13 @@ def _validate(args):
         path = args.channel[5:]
         if not os.path.isfile(path):
             raise ValueError(f"channel file not found: {path}")
-    elif args.channel not in ("wireline", "wireless"):
+    elif args.channel not in _CHANNEL_PARAMS:
         raise ValueError(f"unknown channel {args.channel!r}")
+    read = _CHANNEL_PARAMS.get(args.channel, {})
+    ignored = [f"--{dest.replace('_', '-')}" for dest in {**_WIRELINE_PARAMS, **_WIRELESS_PARAMS}
+               if dest in vars(args) and dest not in read]
+    if ignored:
+        raise ValueError(f"--channel {args.channel} does not read {', '.join(ignored)}")
     sq = getattr(args, "sq", None)
     if sq is not None and not os.path.isfile(sq):
         raise ValueError(f"quantization PSD file not found: {sq}")
@@ -257,13 +264,14 @@ _COMMANDS = {
 }
 
 
-def _add_common(p):
+def _add_common(p, power=True):
     p.add_argument("--channel", default="wireline",
                    help="wireline | wireless | file:PATH (channel CSV)")
     p.add_argument("--bins", type=int, default=256)
     p.add_argument("--flo", type=float, default=0.0, help="band lower edge, Hz")
     p.add_argument("--fhi", type=float, default=1e8, help="band upper edge, Hz")
-    p.add_argument("--power", type=float, default=None, help="normalized power budget")
+    if power:
+        p.add_argument("--power", type=float, default=None, help="normalized power budget")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", default=None, help="flat key=value config file")
@@ -303,7 +311,7 @@ def build_parser():
                         choices=["equal-power", "equal-bandwidth", "integer-ratio"])
 
     p_cap = sub.add_parser("capacity", help="report information rates")
-    _add_common(p_cap)
+    _add_common(p_cap, power=False)
     p_cap.add_argument("--sq", default=None, help="quantization PSD CSV")
 
     return parser

@@ -35,41 +35,10 @@ class DesignInfeasibleError(RuntimeError):
 
 
 def _root_product(z, roots):
-    """prod_k (z - roots[..., k]) at each point of z, for one root set of
-    shape (n,) or a stack of them, (sets, n); 1 where there are no roots.
-    The result has shape roots.shape[:-1] + z.shape, one row per set.  z is
-    a complex array, or its (real, imag) planes as a pair of contiguous
-    float arrays, which a caller that evaluates many root sets on one grid
-    splits once.
-
-    The factors are multiplied in one at a time, in real arithmetic:
-    (re, im) <- (re*er - im*ei, re*ei + im*er) for each factor er + j*ei,
-    starting from z - roots[..., 0].  Those are the float operations,
-    unfused, that numpy's complex product reduction performs, so each row
-    is bit for bit that of np.prod(z[:, None] - roots[None, :], axis=1) for
-    its set, the reference the tests hold it to, without the
-    (points x roots) broadcast.  A complex ``out *= z - r`` loop is not:
-    numpy's SIMD complex multiply may fuse its operations with FMA, which
-    rounds differently.
-    """
-    zr, zi = z if isinstance(z, tuple) else (z.real.copy(), z.imag.copy())
-    if not roots.shape[-1]:
-        return np.ones(roots.shape[:-1] + zr.shape, dtype=complex)
-    # factor k's parts, shaped to broadcast each set along its own row
-    rr, ri = roots.real.T[..., None], roots.imag.T[..., None]
-    re, im = zr - rr[0], zi - ri[0]
-    er, ei, t = np.empty_like(re), np.empty_like(re), np.empty_like(re)
-    for a, b in zip(rr[1:], ri[1:]):
-        np.subtract(zr, a, out=er)
-        np.subtract(zi, b, out=ei)
-        np.multiply(re, ei, out=t)
-        re *= er
-        re -= np.multiply(im, ei, out=ei)
-        im *= er
-        im += t
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
-    return out
+    """prod_k (z - roots[..., k]) at each point of the complex array z, for
+    one root set of shape (n,) or a stack of them, (sets, n), one row per
+    set: shape roots.shape[:-1] + z.shape, and 1 where there are no roots."""
+    return np.prod(z[..., None] - roots[..., None, :], axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -572,10 +541,8 @@ def design_ntf(target_sq, cfg):
 
     z_in = np.exp(2j * np.pi * target_sq.grid.centers / fs)
     z_dense = np.exp(1j * np.linspace(0.0, np.pi, _PEAK_GRID))
-    # one root product covers the fit rows and the peak grid, on planes
-    # split once per design
+    # one root product covers the fit rows and the peak grid
     z_all = np.concatenate([z_in, z_dense])
-    planes = (z_all.real.copy(), z_all.imag.copy())
     n_in = z_in.size
     # the Jacobian's points: the fit rows, then the peak bin, set per call
     z_jac = np.append(z_in, 0j)[:, None]
@@ -592,9 +559,9 @@ def design_ntf(target_sq, cfg):
         for the fitted parameters; num is the zeros' root product on z_all,
         when it is known already."""
         if num is None:
-            num, den = _root_product(planes, np.array((zeros, poles)))
+            num, den = _root_product(z_all, np.array((zeros, poles)))
         else:
-            den = _root_product(planes, poles)
+            den = _root_product(z_all, poles)
         mag = np.abs(num / den)
         f = np.empty(n_in + 1)
         np.subtract(np.log10(c0 * mag[:n_in] ** 2), log_target, out=f[:n_in])
@@ -629,7 +596,7 @@ def design_ntf(target_sq, cfg):
     pole_lo, pole_hi = np.zeros(order), np.full(order, _POLE_RADIUS_MAX)
     pole_hi[1::2] = 0.6 * np.pi  # the pair angles; radii and a real pole stay below the max
     zeros0 = zeros_at(zero_angles0)[0]
-    num0 = _root_product(planes, zeros0)
+    num0 = _root_product(z_all, zeros0)
     frozen = (zeros0, lambda: np.zeros((order, 0)))
     stage1 = _best_fit(lambda x: residual(*frozen, *_pair_roots(x, order), num0)[:2],
                        _initial_pole_params(order, cfg), pole_lo, pole_hi)

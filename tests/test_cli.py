@@ -189,6 +189,22 @@ class TestCapacityCommand:
         assert float(cap_summary["info_loss_small_noise_bits_per_s"]) == pytest.approx(
             float(summary["info_loss"]), rel=1e-12)
 
+    def test_power_is_not_an_option(self, tmp_path, capsys):
+        # capacity reads no budget, so it refuses one as any unknown flag
+        out = tmp_path / "d"
+        with pytest.raises(SystemExit) as exc:
+            main(["capacity", "--channel", "wireline", "--bins", "16", "--power", "5",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --power 5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_power_key_skipped(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("bins=16\npower=-5\n")
+        assert main(["capacity", "--config", str(cfg_file)]) == 0
+        assert "capacity_before_bits_per_s" in capsys.readouterr().out
+
     def test_header_only_channel_file(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("frequency_hz,signal_psd,noise_psd\n")
@@ -540,6 +556,50 @@ class TestSeedValidation:
         assert not out.exists()
 
 
+class TestGeneratorFlags:
+    """A generator flag that the chosen channel does not read is refused
+    before any work: exit 1, no --out directory, the flag and the channel
+    named."""
+
+    @pytest.mark.parametrize("channel, flags, named", [
+        ("wireline", ["--notches", "5"], "--notches"),
+        ("wireline", ["--notch-depth", "99"], "--notch-depth"),
+        ("wireline", ["--notch-width", "1e7"], "--notch-width"),
+        ("wireless", ["--noise-tilt", "3"], "--noise-tilt"),
+        ("file", ["--noise-floor", "-80"], "--noise-floor"),
+        ("file", ["--noise-tilt", "3"], "--noise-tilt"),
+        ("file", ["--notches", "5"], "--notches"),
+        ("file", ["--notch-depth", "99"], "--notch-depth"),
+        ("file", ["--notch-width=1e7"], "--notch-width"),
+        # every ignored flag, in one fixed order; the read --noise-tilt is not named
+        ("wireline", ["--notch-width", "1e7", "--noise-tilt", "3", "--notches", "5"],
+         "--notches, --notch-width"),
+    ])
+    def test_flag_the_channel_ignores_is_refused(self, tmp_path, capsys, monkeypatch,
+                                                 channel, flags, named):
+        monkeypatch.setattr(cli, "_load_channel", None)  # no channel is built
+        if channel == "file":
+            path = tmp_path / "ch.csv"
+            q.write_channel_csv(q.wireline_channel(q.make_grid(0.0, 1e8, 16)), path)
+            channel = f"file:{path}"
+        out = tmp_path / "d"
+        rc = main(["shape", "--channel", channel, *flags, "--power", "2e12",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --channel {channel} does not read {named}\n"
+        assert not out.exists()
+
+    def test_flag_from_config_file_is_refused(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("channel=wireless\nnoise_tilt=3\n")
+        out = tmp_path / "d"
+        rc = main(["partition", "--config", str(cfg_file), "--power", "2e12",
+                   "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --channel wireless does not read --noise-tilt\n"
+        assert not out.exists()
+
+
 class TestLibraryDefaults:
     """An unset generator or modulator flag takes the library's default, so
     spelling that default out on the command line changes no output byte."""
@@ -562,22 +622,23 @@ class TestLibraryDefaults:
 
 _COMMON_OPTIONS = {
     (("-h", "--help"), "help"), (("--channel",), "channel"), (("--bins",), "bins"),
-    (("--flo",), "flo"), (("--fhi",), "fhi"), (("--power",), "power"),
-    (("--out",), "out"), (("--seed",), "seed"), (("--config",), "config"),
+    (("--flo",), "flo"), (("--fhi",), "fhi"), (("--out",), "out"), (("--seed",), "seed"),
+    (("--config",), "config"),
     (("--noise-floor",), "noise_floor"), (("--noise-tilt",), "noise_tilt"),
     (("--notches",), "notches"), (("--notch-depth",), "notch_depth"),
     (("--notch-width",), "notch_width"),
 }
+_POWER = (("--power",), "power")
 CLI_SURFACE = {
-    "shape": _COMMON_OPTIONS,
-    "simulate": _COMMON_OPTIONS | {
+    "shape": _COMMON_OPTIONS | {_POWER},
+    "simulate": _COMMON_OPTIONS | {_POWER,
         (("--order",), "order"), (("--osr",), "osr"), (("--levels",), "levels"),
         (("--step",), "step"), (("--max-ntf-gain",), "max_ntf_gain"),
         (("--dither",), "dither"), (("--samples",), "samples"),
         (("--fin-ratio",), "fin_ratio"), (("--amplitude-dbfs",), "amplitude_dbfs"),
         (("--save-trace",), "save_trace"),
     },
-    "partition": _COMMON_OPTIONS | {(("--n",), "n"), (("--mode",), "mode")},
+    "partition": _COMMON_OPTIONS | {_POWER, (("--n",), "n"), (("--mode",), "mode")},
     "capacity": _COMMON_OPTIONS | {(("--sq",), "sq")},
 }
 

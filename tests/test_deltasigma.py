@@ -73,12 +73,8 @@ def random_stable_loop(rng, order):
 def reference_root_product(z, roots):
     """prod_k (z - roots[..., k]) as a (points x roots) broadcast reduced by
     numpy's complex product, one row per set of a (sets, n) root stack: the
-    spec that deltasigma._root_product must match bit for bit.  z is a
-    complex array or its (real, imag) planes."""
-    if isinstance(z, tuple):
-        real, imag = z
-        z = real.astype(complex)
-        z.imag = imag
+    spec that deltasigma._root_product must match bit for bit.  z is a 1-D
+    complex array."""
     return np.prod(z[:, None] - roots[..., None, :], axis=-1)
 
 
@@ -206,25 +202,38 @@ class TestRootProduct:
     @settings(max_examples=200, deadline=None)
     @given(sets=st.integers(0, 9).flatmap(
                lambda n: st.lists(root_sets(n), min_size=1, max_size=3)),
-           stacked=st.booleans(), as_planes=st.booleans(),
+           stacked=st.booleans(),
            points=st.one_of(
                st.sampled_from([UNIT_CIRCLE_64, DENSE_HALF_CIRCLE]),
                st.lists(st.complex_numbers(max_magnitude=4.0), min_size=1, max_size=300)
                .map(lambda v: np.array(v, dtype=complex))))
-    def test_matches_broadcast_reference_bit_for_bit(self, sets, stacked, as_planes, points):
+    def test_matches_broadcast_reference_bit_for_bit(self, sets, stacked, points):
         # one root set of shape (n,), or a (sets, n) stack whose every row is
-        # that set's own product, on the points or on their (real, imag) planes
+        # that set's own product; an empty set gives ones
         roots = np.array(sets) if stacked else sets[0]
-        z = (points.real.copy(), points.imag.copy()) if as_planes else points
-        got = ds._root_product(z, roots)
+        got = ds._root_product(points, roots)
         assert got.dtype == complex and got.shape == roots.shape[:-1] + points.shape
         for row, r in zip(np.atleast_2d(got), sets):
             expect = reference_root_product(points, r)
             assert_array_equal(row.real, expect.real)
             assert_array_equal(row.imag, expect.imag)
-        swapped = reference_root_product(z, roots)
-        assert_array_equal(got.real, swapped.real)
-        assert_array_equal(got.imag, swapped.imag)
+
+    @settings(max_examples=50, deadline=None)
+    @given(roots=root_sets(),
+           shape=st.sampled_from([(3, 5), (1, 7), (4, 1)]),
+           data=st.data())
+    def test_points_of_any_shape_with_one_root_set(self, roots, shape, data):
+        # RationalTf.__call__ passes its points as given, so a 2-D array of
+        # points gives each point the product of its 1-D evaluation
+        values = data.draw(st.lists(st.complex_numbers(max_magnitude=4.0),
+                                    min_size=shape[0] * shape[1],
+                                    max_size=shape[0] * shape[1]))
+        points = np.array(values, dtype=complex).reshape(shape)
+        got = ds._root_product(points, roots)
+        assert got.dtype == complex and got.shape == shape
+        expect = reference_root_product(points.ravel(), roots).reshape(shape)
+        assert_array_equal(got.real, expect.real)
+        assert_array_equal(got.imag, expect.imag)
 
 
 class TestRefinePeak:
@@ -658,7 +667,7 @@ class TestDesignNtf:
         calls = []
 
         def counted(z, roots, product=ds._root_product):
-            calls.append((z[0].size, roots.shape))
+            calls.append((z.size, roots.shape))
             return product(z, roots)
 
         monkeypatch.setattr(ds, "_root_product", counted)
