@@ -25,12 +25,18 @@ from .spectral import _fmt
 
 # Flags that only feed a library parameter, as {dest: parameter}.  They
 # default to argparse.SUPPRESS, so a flag that neither the command line nor
-# the config file sets leaves the library's own default in force.
+# the config file sets leaves the library's own default in force; the grid
+# has none, so its defaults are kept here.
+_GRID_PARAMS = {"bins": "num_bins", "flo": "f_lo", "fhi": "f_hi"}
+_GRID_DEFAULTS = {"num_bins": 256, "f_lo": 0.0, "f_hi": 1e8}
 _WIRELINE_PARAMS = {"noise_floor": "noise_floor", "noise_tilt": "noise_tilt"}
 _WIRELESS_PARAMS = {"notches": "num_notches", "notch_depth": "notch_depth",
                     "notch_width": "notch_width", "noise_floor": "noise_floor"}
-# the generator flags each generated channel reads; a file: channel reads none
-_CHANNEL_PARAMS = {"wireline": _WIRELINE_PARAMS, "wireless": _WIRELESS_PARAMS}
+# The grid and generator flags each generated channel reads.  A file: channel
+# takes its grid from the file and refuses them all.  --seed is a run-level
+# flag that every command accepts; only wireless and simulate --dither read it.
+_CHANNEL_PARAMS = {"wireline": {**_GRID_PARAMS, **_WIRELINE_PARAMS},
+                   "wireless": {**_GRID_PARAMS, **_WIRELESS_PARAMS}}
 _MODULATOR_PARAMS = {"order": "order", "osr": "osr", "levels": "quantizer_levels",
                      "step": "step", "max_ntf_gain": "max_ntf_gain", "dither": "dither"}
 
@@ -51,7 +57,8 @@ def _validate(args):
     elif args.channel not in _CHANNEL_PARAMS:
         raise ValueError(f"unknown channel {args.channel!r}")
     read = _CHANNEL_PARAMS.get(args.channel, {})
-    ignored = [f"--{dest.replace('_', '-')}" for dest in {**_WIRELINE_PARAMS, **_WIRELESS_PARAMS}
+    ignored = [f"--{dest.replace('_', '-')}"
+               for dest in dict.fromkeys(d for params in _CHANNEL_PARAMS.values() for d in params)
                if dest in vars(args) and dest not in read]
     if ignored:
         raise ValueError(f"--channel {args.channel} does not read {', '.join(ignored)}")
@@ -62,33 +69,26 @@ def _validate(args):
     if args.out is not None and os.path.exists(args.out) and not (
             os.path.isdir(args.out) and os.access(args.out, os.W_OK)):
         raise ValueError(f"output directory not writable: {args.out}")
+    # argparse's required= cannot say this: the config file may supply either
+    if args.command != "capacity":
+        if args.out is None:
+            raise ValueError("--out DIR is required for this command")
+        if args.power is None or args.power <= 0:
+            raise ValueError("a positive --power budget is required")
 
 
 def _load_channel(args):
     if args.channel.startswith("file:"):
         return sp.read_channel_csv(args.channel[5:])
-    grid = sp.make_grid(args.flo, args.fhi, args.bins)
+    grid = sp.make_grid(**{**_GRID_DEFAULTS, **_set_params(args, _GRID_PARAMS)})
     if args.channel == "wireline":
         return sp.wireline_channel(grid, **_set_params(args, _WIRELINE_PARAMS))
     return sp.wireless_channel(grid, seed=args.seed, **_set_params(args, _WIRELESS_PARAMS))
 
 
-def _need_power(args):
-    if args.power is None or args.power <= 0:
-        raise ValueError("a positive --power budget is required")
-    return cap.PowerBudget(args.power)
-
-
-def _need_out(args):
-    if args.out is None:
-        raise ValueError("--out DIR is required for this command")
-    return args.out
-
-
 def cmd_shape(args):
-    out = _need_out(args)
+    budget = cap.PowerBudget(args.power)
     ch = _load_channel(args)
-    budget = _need_power(args)
 
     analytic = sh.optimal_sq(ch.noise, budget)
     numeric = sh.optimal_sq_numerical(ch, budget)
@@ -96,8 +96,8 @@ def cmd_shape(args):
     numeric_loss = cap.info_loss(ch.noise, numeric.sq_opt)
     gap_db = sp.to_db(numeric.sq_opt.values) - sp.to_db(analytic.sq_opt.values)
 
-    os.makedirs(out, exist_ok=True)
-    sh.write_shaping_csv(analytic, os.path.join(out, "shaping.csv"))
+    os.makedirs(args.out, exist_ok=True)
+    sh.write_shaping_csv(analytic, os.path.join(args.out, "shaping.csv"))
     sh.write_summary(
         {
             "power_budget": budget.p,
@@ -112,10 +112,10 @@ def cmd_shape(args):
             "numeric_converged": numeric.converged,
             "numeric_max_gap_db": float(np.max(np.abs(gap_db))),
         },
-        os.path.join(out, "summary.txt"),
+        os.path.join(args.out, "summary.txt"),
     )
     sp._write_csv(
-        os.path.join(out, "plotdata.csv"),
+        os.path.join(args.out, "plotdata.csv"),
         "frequency_hz,signal_db,noise_db,sq_analytic_db,sq_numeric_db",
         [ch.grid.centers, sp.to_db(ch.signal.values), sp.to_db(ch.noise.values),
          sp.to_db(analytic.sq_opt.values), sp.to_db(numeric.sq_opt.values)],
@@ -146,9 +146,8 @@ def cmd_capacity(args):
 
 
 def cmd_partition(args):
-    out = _need_out(args)
+    budget = cap.PowerBudget(args.power)
     ch = _load_channel(args)
-    budget = _need_power(args)
 
     if args.mode == "equal-power":
         plan = mc.partition_equal_power(ch.noise, budget, args.n)
@@ -158,13 +157,13 @@ def cmd_partition(args):
     # is the global optimum over its bins, so the bank's shape is the global one
     result = sh.optimal_sq(ch.noise, budget)
 
-    os.makedirs(out, exist_ok=True)
-    mc.write_plan_csv(plan, os.path.join(out, "plan.csv"))
-    sh.write_shaping_csv(result, os.path.join(out, "shaping.csv"))
+    os.makedirs(args.out, exist_ok=True)
+    mc.write_plan_csv(plan, os.path.join(args.out, "plan.csv"))
+    sh.write_shaping_csv(result, os.path.join(args.out, "shaping.csv"))
     marker = np.zeros(ch.grid.num_bins, dtype=int)
     marker[mc._snap_edges_to_bins(plan, ch.grid)[:-1]] = 1
     sp._write_csv(
-        os.path.join(out, "plotdata.csv"),
+        os.path.join(args.out, "plotdata.csv"),
         "frequency_hz,signal_db,noise_db,sq_db,band_edge_marker",
         [ch.grid.centers, sp.to_db(ch.signal.values), sp.to_db(ch.noise.values),
          sp.to_db(result.sq_opt.values), marker],
@@ -178,14 +177,13 @@ def cmd_partition(args):
     for i in range(plan.num_bands):
         entries[f"band{i}_power"] = float(plan.per_band_power[i])
         entries[f"band{i}_bandwidth_hz"] = float(plan.per_band_bandwidth[i])
-    sh.write_summary(entries, os.path.join(out, "summary.txt"))
+    sh.write_summary(entries, os.path.join(args.out, "summary.txt"))
     return 0
 
 
 def cmd_simulate(args):
-    out = _need_out(args)
+    budget = cap.PowerBudget(args.power)
     ch = _load_channel(args)
-    budget = _need_power(args)
     grid = ch.grid
     if abs(grid.f_lo) > 1e-12 * grid.width:
         raise ValueError("simulate requires a low-pass band starting at 0 Hz")
@@ -243,16 +241,16 @@ def cmd_simulate(args):
         measured_db = np.full(target.grid.num_bins, sp.DB_FLOOR)
         predicted_db = sp.to_db(design_fit.values)
 
-    os.makedirs(out, exist_ok=True)
-    ds.write_tf(ntf, os.path.join(out, "ntf.txt"))
-    sh.write_summary(entries, os.path.join(out, "summary.txt"))
+    os.makedirs(args.out, exist_ok=True)
+    ds.write_tf(ntf, os.path.join(args.out, "ntf.txt"))
+    sh.write_summary(entries, os.path.join(args.out, "summary.txt"))
     sp._write_csv(
-        os.path.join(out, "plotdata.csv"),
+        os.path.join(args.out, "plotdata.csv"),
         "frequency_hz,target_db,predicted_db,measured_db",
         [target.grid.centers, sp.to_db(target.values), predicted_db, measured_db],
     )
     if args.save_trace:
-        ds.write_trace_csv(trace, os.path.join(out, "trace.csv"))
+        ds.write_trace_csv(trace, os.path.join(args.out, "trace.csv"))
     return 0
 
 
@@ -267,9 +265,9 @@ _COMMANDS = {
 def _add_common(p, power=True):
     p.add_argument("--channel", default="wireline",
                    help="wireline | wireless | file:PATH (channel CSV)")
-    p.add_argument("--bins", type=int, default=256)
-    p.add_argument("--flo", type=float, default=0.0, help="band lower edge, Hz")
-    p.add_argument("--fhi", type=float, default=1e8, help="band upper edge, Hz")
+    p.add_argument("--bins", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--flo", type=float, default=argparse.SUPPRESS, help="band lower edge, Hz")
+    p.add_argument("--fhi", type=float, default=argparse.SUPPRESS, help="band upper edge, Hz")
     if power:
         p.add_argument("--power", type=float, default=None, help="normalized power budget")
     p.add_argument("--out", default=None, help="output directory")

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 import qnshape as q
 from qnshape import cli
@@ -96,6 +97,31 @@ class TestShapeCommand:
         assert rc == 1
         assert "power" in capsys.readouterr().err
 
+    def test_out_required(self, capsys):
+        assert main(["shape", "--channel", "wireline", "--power", "1e12"]) == 1
+        assert capsys.readouterr().err == "error: --out DIR is required for this command\n"
+
+    @pytest.mark.parametrize("command", ["shape", "simulate", "partition"])
+    @pytest.mark.parametrize("given, message", [
+        (["--out", "d"], "a positive --power budget is required"),
+        (["--power", "-1", "--out", "d"], "a positive --power budget is required"),
+        (["--power", "1e12"], "--out DIR is required for this command"),
+    ], ids=["no-power", "negative-power", "no-out"])
+    def test_power_and_out_checked_before_the_channel_is_read(
+            self, tmp_path, capsys, monkeypatch, command, given, message):
+        monkeypatch.setattr(cli, "_load_channel", None)  # no channel is built
+        path = tmp_path / "ch.csv"
+        q.write_channel_csv(q.wireline_channel(q.make_grid(0.0, 1e8, 16)), path)
+        given = [str(tmp_path / a) if a == "d" else a for a in given]
+        assert main([command, "--channel", f"file:{path}", *given]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_unknown_channel(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["shape", "--channel", "foo", "--power", "1e12", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown channel 'foo'\n"
+        assert not out.exists()
+
     def test_failed_run_creates_no_out_dir(self, tmp_path, capsys):
         out = tmp_path / "d"
         assert main(["shape", "--channel", "wireline", "--out", str(out)]) == 1
@@ -154,6 +180,11 @@ class TestCapacityCommand:
         exact = float(summary["info_loss_exact_bits_per_s"])
         approx = float(summary["info_loss_small_noise_bits_per_s"])
         assert approx >= exact > 0
+
+    def test_missing_sq_file(self, tmp_path, capsys):
+        sq = tmp_path / "none.csv"
+        assert main(["capacity", "--channel", "wireline", "--sq", str(sq)]) == 1
+        assert capsys.readouterr().err == f"error: quantization PSD file not found: {sq}\n"
 
     def test_matches_shaping_summary(self, tmp_path, capsys):
         # cross-module consistency: feeding the shape command's optimal PSD
@@ -398,6 +429,32 @@ class TestSimulateCommand:
         quantizer_input = trace[:, 2] - trace[:, 3]
         assert np.max(np.abs(quantizer_input)) < 1.0  # full scale, 16 * 0.125 / 2
 
+    def test_band_not_from_zero_rejected(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert main(["simulate", "--channel", "wireline", "--flo", "1e6", "--power", "7.5e14",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: simulate requires a low-pass band starting at 0 Hz\n")
+        assert not out.exists()
+
+    def test_unstable_run_reports_no_tracking(self, tmp_path):
+        # +12 dBFS drives the README wireless loop past 10x full scale
+        out = tmp_path / "d"
+        assert main(["simulate", "--channel", "wireless", "--bins", "64", "--fhi", "2e8",
+                     "--notches", "1", "--notch-depth", "12", "--notch-width", "6e7",
+                     "--power", "7.5e14", "--order", "4", "--osr", "12", "--samples", "8192",
+                     "--amplitude-dbfs", "12", "--out", str(out)]) == 0
+        summary = read_summary(out / "summary.txt")
+        assert summary["stable"] == "false"
+        assert not [key for key in summary if key.startswith("measured_vs_")]
+        rows = np.loadtxt(out / "plotdata.csv", delimiter=",", skiprows=1)
+        grid = q.make_grid(0.0, 2e8, 64)
+        assert_array_equal(rows[:, 0], grid.centers)
+        assert_array_equal(rows[:, 3], np.full(64, q.spectral.DB_FLOOR))
+        cfg = q.ModulatorConfig(order=4, osr=12.0, sample_rate=float(summary["sample_rate_hz"]))
+        predicted = q.ntf_quant_psd(q.read_tf(out / "ntf.txt"), cfg, grid)
+        assert_array_equal(rows[:, 2], q.to_db(predicted.values))
+
     def test_order_zero_fails(self, tmp_path, capsys):
         rc = main(["simulate", "--channel", "wireless", "--power", "1e14",
                    "--order", "0", "--out", str(tmp_path / "d")])
@@ -557,9 +614,9 @@ class TestSeedValidation:
 
 
 class TestGeneratorFlags:
-    """A generator flag that the chosen channel does not read is refused
-    before any work: exit 1, no --out directory, the flag and the channel
-    named."""
+    """A grid or generator flag that the chosen channel does not read is
+    refused before any work: exit 1, no --out directory, the flag and the
+    channel named."""
 
     @pytest.mark.parametrize("channel, flags, named", [
         ("wireline", ["--notches", "5"], "--notches"),
@@ -574,6 +631,13 @@ class TestGeneratorFlags:
         # every ignored flag, in one fixed order; the read --noise-tilt is not named
         ("wireline", ["--notch-width", "1e7", "--noise-tilt", "3", "--notches", "5"],
          "--notches, --notch-width"),
+        # a file: channel takes its grid from the file
+        ("file", ["--bins", "9"], "--bins"),
+        ("file", ["--flo=3"], "--flo"),
+        ("file", ["--fhi", "5"], "--fhi"),
+        ("file", ["--fhi", "5", "--flo", "3", "--bins", "999"], "--bins, --flo, --fhi"),
+        # grid flags come ahead of any generator flag
+        ("file", ["--notches", "5", "--fhi", "5"], "--fhi, --notches"),
     ])
     def test_flag_the_channel_ignores_is_refused(self, tmp_path, capsys, monkeypatch,
                                                  channel, flags, named):
@@ -597,6 +661,17 @@ class TestGeneratorFlags:
                    "--out", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: --channel wireless does not read --noise-tilt\n"
+        assert not out.exists()
+
+    def test_grid_flag_from_config_file_is_refused(self, tmp_path, capsys):
+        path = tmp_path / "ch.csv"
+        q.write_channel_csv(q.wireline_channel(q.make_grid(0.0, 1e8, 16)), path)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"channel=file:{path}\nbins=16\n")
+        out = tmp_path / "d"
+        rc = main(["shape", "--config", str(cfg_file), "--power", "2e12", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: --channel file:{path} does not read --bins\n"
         assert not out.exists()
 
 
@@ -824,6 +899,26 @@ class TestConfigFile:
         assert rc == 0
         assert len((out / "shaping.csv").read_text().splitlines()) == 17
 
+    def test_power_and_out_from_config_only(self, tmp_path):
+        out = tmp_path / "d"
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"bins=16\npower=1e12\nout={out}\n")
+        assert main(["shape", "--config", str(cfg_file)]) == 0
+        assert read_summary(out / "summary.txt")["power_budget"] == "1000000000000"
+
+    def test_comment_and_blank_lines_skipped(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("# a comment\n\nbins=16\n   \n  # indented comment\npower=1e12\n")
+        out = tmp_path / "d"
+        assert main(["shape", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert len((out / "shaping.csv").read_text().splitlines()) == 17
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "none.cfg"
+        assert main(["shape", "--config", str(cfg_file), "--power", "1e12",
+                     "--out", str(tmp_path / "d")]) == 1
+        assert capsys.readouterr().err == f"error: config file not found: {cfg_file}\n"
+
     def test_abbreviated_flag_beats_config(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("bins=16\npower=1e12\n")
@@ -881,7 +976,8 @@ class TestConfigFile:
         monkeypatch.setitem(cli._COMMANDS, "simulate", lambda args: seen.update(vars(args)) or 0)
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"dither={value}\nsave_trace={value}\n")
-        assert main(["simulate", "--config", str(cfg_file)]) == 0
+        assert main(["simulate", "--config", str(cfg_file), "--power", "1",
+                     "--out", str(tmp_path / "d")]) == 0
         assert seen["dither"] is expected and seen["save_trace"] is expected
 
     def test_unknown_key_rejected(self, tmp_path, capsys):

@@ -197,6 +197,17 @@ class TestRationalTf:
         assert_array_equal(back.poles, tf.poles)
         assert back.gain == tf.gain
 
+    def test_file_without_gain_rejected(self, tmp_path):
+        path = tmp_path / "tf.txt"
+        path.write_text("zeros: 1,0\npoles: 0.5,0\n")
+        with pytest.raises(ValueError, match="must have zeros:, poles: and gain: lines"):
+            q.read_tf(path)
+
+    @pytest.mark.parametrize("gain", [np.nan, np.inf])
+    def test_non_finite_gain_rejected(self, gain):
+        with pytest.raises(ValueError, match="^zeros, poles and gain must be finite$"):
+            q.RationalTf(np.array([], complex), np.array([], complex), gain)
+
 
 class TestRootProduct:
     @settings(max_examples=200, deadline=None)
@@ -465,11 +476,24 @@ class TestModulatorConfig:
     def test_most_levels_accepted(self):
         assert q.ModulatorConfig(quantizer_levels=65536).quantizer_levels == 65536
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("sample_rate", 0.0, "sample_rate must be positive"),
+        ("step", -0.125, "step must be positive"),
+        ("max_ntf_gain", 1.0, "max_ntf_gain must exceed 1"),
+    ])
+    def test_out_of_range_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            q.ModulatorConfig(**{field: value})
+
 
 IDENTITY_MODES = ((False, "plain"), (True, "dithered"))
 
 
 class TestSimulate:
+    def test_trace_of_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="^trace sequences must have equal length$"):
+            q.SimulationTrace(np.zeros(4), np.zeros(4), np.zeros(3), 0, True)
+
     def test_zero_input_unit_ntf(self):
         cfg = q.ModulatorConfig(order=1, osr=12, sample_rate=1.0,
                                 quantizer_levels=16, step=0.125)

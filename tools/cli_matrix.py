@@ -7,12 +7,14 @@ shape at a budget outside the small-noise regime, on the default wireline
 channel and with its noise tilt reversed, so that stderr holds each run's
 one warning; the command forms that the benchmark's cli-flow workload runs
 on input files (shape and capacity --sq on a channel file, partition
---config); the README's simulate again at 5461 samples, the fewest the
+--config); shape on that channel file with --bins, --flo and --fhi, which
+it refuses; the README's simulate again at 5461 samples, the fewest the
 tracking report takes, at --bins 256, whose comparison bins are narrower
-than the report's Welch bins, and with --step 1e200 and 1e-160, which it
-refuses; then simulate --save-trace on the README's wireless channel at
-orders 4, 5 and 6 with and without --dither, on a 2-level quantizer with
-step 1.0 (the modulator diverges) and at +6 dBFS (it saturates).  The channel, quantization PSD and
+than the report's Welch bins, with --step 1e200 and 1e-160, which it
+refuses, and at +12 dBFS, where the modulator diverges; then simulate
+--save-trace on the README's wireless channel at orders 4, 5 and 6 with and
+without --dither, on a 2-level quantizer with step 1.0 (the modulator
+diverges) and at +6 dBFS (it saturates).  The channel, quantization PSD and
 config files are written from fixed text that this script computes itself,
 not by qnshape's writers, so the inputs do not depend on the package under
 test.  Each command runs in a fresh process, with its --out in a temporary
@@ -87,6 +89,9 @@ def commands(channel_csv, sq_csv, config):
         ("shape-out-of-regime", ["shape", *out_of_regime]),
         ("shape-out-of-regime-tilted", ["shape", *out_of_regime, "--noise-tilt", "-50"]),
         ("shape-file", ["shape", "--channel", f"file:{channel_csv}", "--power", "5e12"]),
+        # a file: channel takes its grid from the file, so grid flags are refused
+        ("shape-file-grid-flag", ["shape", "--channel", f"file:{channel_csv}", "--power", "5e12",
+                                  "--bins", "999", "--flo", "3", "--fhi", "5"]),
         ("capacity-file-sq", ["capacity", "--channel", f"file:{channel_csv}", "--sq", sq_csv]),
         ("partition-config", ["partition", "--config", config]),
         ("simulate", ["simulate", *wireless, "--order", "4", "--osr", "12", "--dither"]),
@@ -103,6 +108,9 @@ def commands(channel_csv, sq_csv, config):
                                  "--dither", "--step", "1e200"]),
         ("simulate-step-1e-160", ["simulate", *wireless, "--order", "4", "--osr", "12",
                                   "--dither", "--step", "1e-160"]),
+        # +12 dBFS drives the quantizer input past 10x full scale: stable=false
+        ("simulate-unstable", ["simulate", *wireless, "--order", "4", "--osr", "12",
+                               "--amplitude-dbfs", "12"]),
     ]
     trace = ["simulate", *wireless, "--save-trace"]
     for order in (4, 5, 6):
