@@ -23,7 +23,7 @@ class PowerBudget:
 
     def __post_init__(self):
         if not np.isfinite(self.p) or self.p <= 0:
-            raise ValueError("power budget must be positive and finite")
+            raise ValueError(f"power budget must be positive and finite, got {self.p}")
 
 
 def as_budget(p):

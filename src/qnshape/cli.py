@@ -73,7 +73,8 @@ def _validate(args):
     if args.command != "capacity":
         if args.out is None:
             raise ValueError("--out DIR is required for this command")
-        if args.power is None or args.power <= 0:
+        # capacity.PowerBudget checks the budget's range, first in each command
+        if args.power is None:
             raise ValueError("a positive --power budget is required")
 
 
@@ -148,14 +149,9 @@ def cmd_capacity(args):
 def cmd_partition(args):
     budget = cap.PowerBudget(args.power)
     ch = _load_channel(args)
-
-    if args.mode == "equal-power":
-        plan = mc.partition_equal_power(ch.noise, budget, args.n)
-    else:
-        plan = mc.partition_constrained(ch.noise, budget, args.n, mode=args.mode)
     # shaped to its share of the budget, each band of a partition mode's plan
     # is the global optimum over its bins, so the bank's shape is the global one
-    result = sh.optimal_sq(ch.noise, budget)
+    plan, result = mc._partition(ch.noise, budget, args.n, args.mode)
 
     os.makedirs(args.out, exist_ok=True)
     mc.write_plan_csv(plan, os.path.join(args.out, "plan.csv"))

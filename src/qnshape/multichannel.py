@@ -71,25 +71,41 @@ def time_interleave_psd(sq_single, n):
     return Psd(new_grid, vals)
 
 
-def _power_measure(noise, budget):
-    """Cumulative integral, at the grid edges, of the global closed-form
-    shape's per-bin power shares (it ends at the budget).  A budget outside
-    the small-noise regime warns, as optimal_sq does."""
-    global_result = optimal_sq(noise, budget)
-    shares = noise.grid.delta * global_result.sq_opt.values ** -0.5 / _SQRT12
+def _power_measure(sq):
+    """Cumulative integral, at the grid edges, of the per-bin power shares of
+    the quantization PSD sq (for a closed-form shape it ends at the budget)."""
+    shares = sq.grid.delta * sq.values ** -0.5 / _SQRT12
     return np.concatenate([[0.0], np.cumsum(shares)])
 
 
-def _split_setup(noise, budget_total, n):
-    """The checked budget and band count n for splitting noise's grid, and
-    the cumulative power integral of the global optimal shape."""
+def _partition(noise, budget_total, n, mode):
+    """(plan, result): the plan that splits noise's band into n bands in mode,
+    and the global closed-form shape whose power measure it splits.  The one
+    solve behind both partition functions and the partition command; the
+    budget, n and mode are checked before it."""
     budget_total = as_budget(budget_total)
     if int(n) != n or n < 1:
         raise ValueError("number of bands must be a positive integer")
     n = int(n)
-    if n > noise.grid.num_bins:
-        raise ValueError(f"cannot split {noise.grid.num_bins} bins into {n} bands")
-    return budget_total, n, _power_measure(noise, budget_total)
+    g = noise.grid
+    if n > g.num_bins:
+        raise ValueError(f"cannot split {g.num_bins} bins into {n} bands")
+    if mode not in ("equal-power", "equal-bandwidth", "integer-ratio"):
+        raise ValueError(f"unknown partition mode {mode!r}")
+    result = optimal_sq(noise, budget_total)
+    cum = _power_measure(result.sq_opt)
+    p = budget_total.p
+    if mode == "equal-power":
+        interior = np.interp(p * np.arange(1, n) / n, cum, g.edges)
+        edges = np.concatenate([[g.f_lo], interior, [g.f_hi]])
+        return PartitionPlan(edges=edges, per_band_power=np.full(n, p / n)), result
+    if mode == "equal-bandwidth":
+        edges = g.f_lo + np.arange(n + 1) * (g.width / n)
+        edges[-1] = g.f_hi
+    else:
+        edges = _integer_ratio_edges(g, cum, p / n, n)
+    powers = np.diff(np.interp(edges, g.edges, cum))
+    return PartitionPlan(edges=edges, per_band_power=powers), result
 
 
 def partition_equal_power(noise, budget_total, n):
@@ -99,13 +115,7 @@ def partition_equal_power(noise, budget_total, n):
     optimal shape (interpolated within bins, so each band receives exactly
     total/n).
     """
-    budget_total, n, cum = _split_setup(noise, budget_total, n)
-    g = noise.grid
-    p = budget_total.p
-    targets = p * np.arange(1, n) / n
-    interior = np.interp(targets, cum, g.edges)
-    edges = np.concatenate([[g.f_lo], interior, [g.f_hi]])
-    return PartitionPlan(edges=edges, per_band_power=np.full(n, p / n))
+    return _partition(noise, budget_total, n, "equal-power")[0]
 
 
 def _snap_edges_to_bins(plan, grid):
@@ -145,7 +155,7 @@ def per_band_shaping(noise, plan):
                          f"got [{plan.edges[0]}, {plan.edges[-1]}]")
     idx = _snap_edges_to_bins(plan, g)
     boundaries = g.edges
-    cum = _power_measure(noise, PowerBudget(plan.total_power))
+    cum = _power_measure(optimal_sq(noise, PowerBudget(plan.total_power)).sq_opt)
     snapped = np.diff(cum[idx])
     declared = np.diff(np.interp(plan.edges, boundaries, cum))
     budgets = plan.per_band_power * (snapped / declared)
@@ -204,18 +214,9 @@ def partition_constrained(noise, budget_total, n, mode="equal-bandwidth"):
     program over cut positions, O(n T^2) per total T, so any n up to the bin
     count is accepted.
     """
-    budget_total, n, cum = _split_setup(noise, budget_total, n)
-    g = noise.grid
-    if mode == "equal-bandwidth":
-        edges = g.f_lo + np.arange(n + 1) * (g.width / n)
-        edges[-1] = g.f_hi
-    elif mode == "integer-ratio":
-        edges = _integer_ratio_edges(g, cum, budget_total.p / n, n)
-    else:
+    if mode == "equal-power":
         raise ValueError(f"unknown partition mode {mode!r}")
-
-    powers = np.diff(np.interp(edges, g.edges, cum))
-    return PartitionPlan(edges=edges, per_band_power=powers)
+    return _partition(noise, budget_total, n, mode)[0]
 
 
 def write_plan_csv(plan, path):

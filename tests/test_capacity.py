@@ -113,6 +113,15 @@ class TestBitsSqConversion:
         with pytest.raises(ValueError):
             q.bits_from_sq(q.Psd(g, [0.0, 1.0]))
 
+    @pytest.mark.parametrize("bits, message", [
+        ([1.0, 2.0], "bits length must equal grid.num_bins"),
+        ([1.0, np.nan, 2.0], "bits must be finite"),
+        ([1.0, np.inf, 2.0], "bits must be finite"),
+    ], ids=["short", "nan", "inf"])
+    def test_bit_profile_checked(self, bits, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            q.BitProfile(q.make_grid(0.0, 1.0, 3), bits)
+
     def test_negative_bits_pass_through_math(self):
         # Sq above 1/12 maps to negative bit density; a report clamps it at zero
         g = q.make_grid(0.0, 1.0, 1)
@@ -147,6 +156,16 @@ class TestPower:
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             q.PowerBudget(0.0)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, np.nan, np.inf])
+    def test_budget_error_names_the_value(self, p):
+        with pytest.raises(ValueError, match=f"^power budget must be positive and finite, got {p}$"):
+            q.PowerBudget(p)
+
+    def test_zero_sq_bin_rejected(self):
+        g = q.make_grid(0.0, 1.0, 2)
+        with pytest.raises(ValueError, match="strictly positive to integrate power"):
+            q.power_of_sq(q.Psd(g, [0.0, 1.0]))
 
 
 def test_monotonicity_in_sq():

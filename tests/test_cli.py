@@ -104,9 +104,12 @@ class TestShapeCommand:
     @pytest.mark.parametrize("command", ["shape", "simulate", "partition"])
     @pytest.mark.parametrize("given, message", [
         (["--out", "d"], "a positive --power budget is required"),
-        (["--power", "-1", "--out", "d"], "a positive --power budget is required"),
+        (["--power", "-1", "--out", "d"], "power budget must be positive and finite, got -1.0"),
+        (["--power", "0", "--out", "d"], "power budget must be positive and finite, got 0.0"),
+        (["--power", "nan", "--out", "d"], "power budget must be positive and finite, got nan"),
+        (["--power", "inf", "--out", "d"], "power budget must be positive and finite, got inf"),
         (["--power", "1e12"], "--out DIR is required for this command"),
-    ], ids=["no-power", "negative-power", "no-out"])
+    ], ids=["no-power", "negative-power", "zero-power", "nan-power", "inf-power", "no-out"])
     def test_power_and_out_checked_before_the_channel_is_read(
             self, tmp_path, capsys, monkeypatch, command, given, message):
         monkeypatch.setattr(cli, "_load_channel", None)  # no channel is built
@@ -115,6 +118,7 @@ class TestShapeCommand:
         given = [str(tmp_path / a) if a == "d" else a for a in given]
         assert main([command, "--channel", f"file:{path}", *given]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "d").exists()
 
     def test_unknown_channel(self, tmp_path, capsys):
         out = tmp_path / "d"
@@ -305,6 +309,24 @@ class TestCapacityCommand:
 
 
 class TestPartitionCommand:
+    @pytest.mark.parametrize("mode", ["equal-power", "equal-bandwidth", "integer-ratio"])
+    def test_one_closed_form_solve(self, tmp_path, monkeypatch, mode):
+        # the plan and shaping.csv come from one solve; multichannel imports
+        # the name, so both bindings count
+        calls = []
+        closed_form = q.shaping.optimal_sq
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return closed_form(*args, **kwargs)
+
+        monkeypatch.setattr(q.shaping, "optimal_sq", counting)
+        monkeypatch.setattr(q.multichannel, "optimal_sq", counting)
+        assert main(["partition", "--channel", "wireline", "--bins", "64",
+                     "--power", str(WIRELINE_BUDGET), "--mode", mode,
+                     "--out", str(tmp_path / "d")]) == 0
+        assert len(calls) == 1
+
     def test_equal_power_four_bands(self, tmp_path):
         out = tmp_path / "d"
         rc = main(["partition", "--channel", "wireline", "--bins", "256",
@@ -979,6 +1001,17 @@ class TestConfigFile:
         assert main(["simulate", "--config", str(cfg_file), "--power", "1",
                      "--out", str(tmp_path / "d")]) == 0
         assert seen["dither"] is expected and seen["save_trace"] is expected
+
+    def test_unknown_mode_rejected_before_the_solve(self, tmp_path, capsys, monkeypatch):
+        # argparse checks choices on the command line only, not on a config
+        # file's values
+        monkeypatch.setattr(q.multichannel, "optimal_sq", None)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("bins=16\npower=1e12\nmode=foo\n")
+        out = tmp_path / "d"
+        assert main(["partition", "--config", str(cfg_file), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: unknown partition mode 'foo'\n"
+        assert not out.exists()
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"

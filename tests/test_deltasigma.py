@@ -796,6 +796,14 @@ class TestDesignNtf:
         with pytest.raises(ValueError, match="signal band"):
             q.design_ntf(target, cfg)
 
+    def test_zero_target_bin_rejected(self):
+        cfg = q.ModulatorConfig(order=4, osr=12.0, sample_rate=1.0)
+        values = np.full(16, 1e-3)
+        values[5] = 0.0
+        target = q.Psd(q.make_grid(0.0, cfg.band_edge, 16), values)
+        with pytest.raises(ValueError, match="strictly positive in-band"):
+            q.design_ntf(target, cfg)
+
     @pytest.mark.parametrize("order", range(1, 9))
     def test_butterworth_starts_match_scipy(self, order):
         for fs in (1.0, 4.8e9):

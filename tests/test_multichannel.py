@@ -18,7 +18,7 @@ def _exhaustive_integer_ratio(noise, p, n):
     replaces the best so far only if better by more than 1e-15.  Returns the
     edges and the worst relative deviation from equal power."""
     g = noise.grid
-    cum = _power_measure(noise, q.PowerBudget(p))
+    cum = _power_measure(q.optimal_sq(noise, q.PowerBudget(p)).sq_opt)
     p_even = p / n
     best_edges, best_dev = None, np.inf
     for total in range(n, 4 * n + 1):
@@ -113,6 +113,16 @@ class TestPartitionEqualPower:
         noise = q.Psd(g, np.ones(4))
         with pytest.raises(ValueError, match="cannot split"):
             q.partition_equal_power(noise, q.PowerBudget(1.0), 5)
+
+    @pytest.mark.parametrize("split", [
+        lambda noise, b, n: q.partition_equal_power(noise, b, n),
+        lambda noise, b, n: q.partition_constrained(noise, b, n, mode="equal-bandwidth"),
+        lambda noise, b, n: q.partition_constrained(noise, b, n, mode="integer-ratio"),
+    ], ids=["equal-power", "equal-bandwidth", "integer-ratio"])
+    def test_fractional_band_count_rejected(self, split):
+        noise = q.Psd(q.make_grid(0.0, 1.0, 4), np.ones(4))
+        with pytest.raises(ValueError, match="number of bands must be a positive integer"):
+            split(noise, q.PowerBudget(1.0), 2.5)
 
 
 class TestPerBandShaping:
@@ -286,7 +296,7 @@ class TestPartitionConstrained:
         budget = q.PowerBudget(300.0)
         plan = q.partition_constrained(noise, budget, 2, mode="integer-ratio")
 
-        cum = _power_measure(noise, budget)
+        cum = _power_measure(q.optimal_sq(noise, budget).sq_opt)
         from itertools import combinations
         best_dev, best_widths = np.inf, None
         for total in range(2, 9):
@@ -345,6 +355,13 @@ class TestPartitionConstrained:
         with pytest.raises(ValueError, match="unknown partition mode"):
             q.partition_constrained(q.Psd(g, np.ones(8)), q.PowerBudget(1.0), 2,
                                     mode="nope")
+
+    def test_equal_power_is_not_a_constrained_mode(self):
+        # partition_equal_power is that split
+        g = q.make_grid(0.0, 1.0, 8)
+        with pytest.raises(ValueError, match="unknown partition mode 'equal-power'"):
+            q.partition_constrained(q.Psd(g, np.ones(8)), q.PowerBudget(1.0), 2,
+                                    mode="equal-power")
 
 
 class TestOutOfRegimeWarning:
@@ -405,6 +422,14 @@ class TestPartitionPlanType:
         with pytest.raises(ValueError, match="positive and finite"):
             q.PartitionPlan(edges=np.array([0.0, 5e7, 1e8]),
                             per_band_power=np.array([1e12, power]))
+
+    @pytest.mark.parametrize("edges, powers, message", [
+        ([0.0], [], "edges must hold at least two frequencies"),
+        ([0.0, 5e7, 1e8], [1e12], "need one power per band"),
+    ], ids=["one-edge", "one-power-for-two-bands"])
+    def test_band_count_checked(self, edges, powers, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            q.PartitionPlan(edges=np.array(edges), per_band_power=np.array(powers))
 
     def test_csv(self, tmp_path, wireline_fixture):
         ch, budget = wireline_fixture

@@ -304,6 +304,15 @@ def test_zero_bin_names_the_budget(solve):
         solve(ch, q.PowerBudget(1e170))
 
 
+@pytest.mark.parametrize("solve", [lambda noise: q.info_loss(noise, noise),
+                                   lambda noise: q.optimal_sq(noise, 1.0)],
+                         ids=["info_loss", "optimal_sq"])
+def test_zero_noise_bin_rejected(solve):
+    g = q.make_grid(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="^noise PSD must be strictly positive$"):
+        solve(q.Psd(g, [1.0, 0.0, 1.0, 1.0]))
+
+
 def test_shaping_serialization(tmp_path, wireline_fixture):
     ch, budget = wireline_fixture
     res = q.optimal_sq(ch.noise, budget)

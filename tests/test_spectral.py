@@ -21,6 +21,11 @@ class TestMakeGrid:
         with pytest.raises(ValueError, match="invalid range"):
             q.make_grid(1e6, 1e6, 8)
 
+    @pytest.mark.parametrize("f_lo, f_hi", [(np.nan, 1.0), (0.0, np.inf)])
+    def test_non_finite_limit_rejected(self, f_lo, f_hi):
+        with pytest.raises(ValueError, match="^grid limits must be finite$"):
+            q.FrequencyGrid(f_lo, f_hi, 4)
+
     def test_zero_bins(self):
         with pytest.raises(ValueError):
             q.make_grid(0.0, 1.0, 0)
@@ -137,6 +142,14 @@ class TestWirelessChannel:
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
             q.wireless_channel(q.make_grid(0.0, 2e8, 16), **{name: value})
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"num_notches": -1}, "num_notches must be >= 0"),
+        ({"notch_width": 0.0}, "notch_width must be positive"),
+    ], ids=["negative-count", "zero-width"])
+    def test_notch_parameter_out_of_range_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            q.wireless_channel(q.make_grid(0.0, 2e8, 16), **kwargs)
+
     def test_notches_exceeding_band_rejected(self):
         g = q.make_grid(0.0, 1e6, 64)
         with pytest.raises(ValueError, match="exceed the band"):
@@ -182,6 +195,14 @@ class TestEstimatePsd:
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="too few samples"):
             q.estimate_psd(np.zeros(100), 1.0, segment_len=256)
+
+    @pytest.mark.parametrize("shape, seg, message", [
+        ((2, 64), 16, "samples must be one-dimensional"),
+        ((128,), 15, "segment_len must be an even integer >= 2"),
+    ], ids=["two-dimensional", "odd-segment"])
+    def test_bad_input_rejected(self, shape, seg, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            q.estimate_psd(np.zeros(shape), 1.0, segment_len=seg)
 
 
 class TestCsvRoundTrip:
@@ -233,6 +254,16 @@ class TestCsvRoundTrip:
         result = q.ShapingResult(q.Psd(g, [1 / 12, 1e-300]), 1.0)
         q.write_shaping_csv(result, tmp_path / "shaping.csv")
         assert_array_equal(q.read_psd_csv(tmp_path / "shaping.csv").values, [1 / 12, 1e-300])
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0.5,1.0\n", "need at least two rows to infer the frequency grid"),
+        ("0.5,1.0\n1.5,1.0\n3.5,1.0\n", "rows must be sorted on a uniform frequency grid"),
+    ], ids=["one-row", "uneven-rows"])
+    def test_grid_not_inferable(self, tmp_path, rows, message):
+        path = tmp_path / "psd.csv"
+        path.write_text("frequency_hz,psd\n" + rows)
+        with pytest.raises(ValueError, match=f"{message}$"):
+            q.read_psd_csv(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
