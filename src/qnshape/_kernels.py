@@ -41,7 +41,12 @@ The loop needs its level at once, for the feedback u = x - y.  After it,
 numpy reads the output y from the same table at the same indices over the
 samples that ran, and derives the error q = y - v and the saturation count.
 Both follow ``reference_modulator`` in ``tests/test_kernels.py`` operation
-for operation, so every output matches it bit for bit.
+for operation, so every output matches it bit for bit.  That work runs one
+block of ``_LOOKUP_BLOCK`` samples at a time, in the output buffers
+themselves; the saturation count is the sum of the blocks' integer counts.
+Every step is elementwise, so the blocks change no bit, and the scratch
+stays one block's indices and clip masks, not 8 bytes of indices per
+sample.
 
 Measure the kernel with the layer benchmark:
 ``python3 perfbench/run.py --workload compute --seed 11 --seconds 45 --trace 1``
@@ -59,6 +64,10 @@ HAVE_NUMBA = False
 # the most levels a quantizer may have: with a dither within ±step, its
 # table holds at most 10 * 2^16 + 7 entries (5 MB of list)
 MAX_LEVELS = 2 ** 16
+
+# samples per block of the output derivation after the loop, which then
+# holds a block's level indices and clip masks at a time (128 kB of indices)
+_LOOKUP_BLOCK = 2 ** 14
 
 
 def _quantizer_table(step, levels, reach):
@@ -158,17 +167,22 @@ def modulator_core(x, b, a, step, levels, dither):
         q[ran:] = 0.0
     elif not abs(last) <= limit:
         stable = False
-    # the loop's k = floor((v + d) / step) again, over the samples that ran
-    v, out, d = q[:ran], y[:ran], dither[:ran]
-    np.divide(np.add(v, d, out=out) if dithered else v, step, out=out)
-    np.floor(out, out=out)
-    # level k clips when |k + 1/2| > (levels - 1) / 2, that is k >= levels / 2
-    # or k < -levels / 2 for even levels
-    sat = np.count_nonzero(out > levels / 2 - 1) + np.count_nonzero(out < -levels / 2)
-    np.add(out, off, out=out)
-    # every index is in range; mode "wrap" spares take a buffer of the output
-    np.take(np.array(table), out.astype(np.intp), out=out, mode="wrap")
-    if dithered:
-        np.subtract(out, d, out=out)
-    np.subtract(out, v, out=v)
+    # the loop's k = floor((v + d) / step) again, over the samples that ran,
+    # then the level at table[k + off], y and q, one block at a time
+    levels_at = np.array(table)
+    sat = 0
+    for start in range(0, ran, _LOOKUP_BLOCK):
+        stop = min(start + _LOOKUP_BLOCK, ran)
+        v, out, d = q[start:stop], y[start:stop], dither[start:stop]
+        np.divide(np.add(v, d, out=out) if dithered else v, step, out=out)
+        np.floor(out, out=out)
+        # level k clips when |k + 1/2| > (levels - 1) / 2, that is k >= levels / 2
+        # or k < -levels / 2 for even levels
+        sat += np.count_nonzero(out > levels / 2 - 1) + np.count_nonzero(out < -levels / 2)
+        np.add(out, off, out=out)
+        # every index is in range; mode "wrap" spares take a buffer of the output
+        np.take(levels_at, out.astype(np.intp), out=out, mode="wrap")
+        if dithered:
+            np.subtract(out, d, out=out)
+        np.subtract(out, v, out=v)
     return y, q, int(sat), stable

@@ -209,10 +209,13 @@ def cmd_simulate(args):
     ntf = ds.design_ntf(target, modcfg)
     loop = ds.loop_from_ntf(ntf)
 
-    npts = args.samples
-    t = np.arange(npts) / fs
     f_in = args.fin_ratio * grid.f_hi
-    x = amp * np.sin(2.0 * np.pi * f_in * t)
+    # amp * sin(2 pi f_in n / fs), operation for operation in one buffer
+    x = np.arange(args.samples, dtype=float)
+    x /= fs
+    x *= 2.0 * np.pi * f_in
+    np.sin(x, out=x)
+    x *= amp
     trace = ds.simulate(loop, modcfg, x, seed=args.seed)
 
     design_fit = ds.ntf_quant_psd(ntf, modcfg, target.grid)

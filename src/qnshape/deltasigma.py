@@ -725,7 +725,10 @@ def measured_vs_predicted(trace, ntf, cfg, reference):
     Welch bins, then bin-averaged onto reference.grid.  The prediction is
     the NTF-induced PSD c0*|NTF|^2 of ntf_quant_psd at the same Welch bins,
     bin-averaged the same way.  A comparison bin that holds no Welch bin
-    takes the value interpolated at its center.
+    takes the value interpolated at its center.  The Welch estimate reads
+    the trace in place and transforms its segments in fixed blocks, summed
+    first segment first (see estimate_psd), so the report adds a fixed
+    amount of scratch to the trace, not a multiple of its length.
 
     A trace of fewer than _min_tracking_samples() samples, or a reference
     grid beyond [0, sample_rate/2] or ending below the first Welch bin

@@ -12,6 +12,10 @@ import numpy as np
 
 DB_FLOOR = -200.0
 
+# samples of Welch segments windowed and transformed per block: 4 segments
+# of the tracking report's 4096
+_WELCH_BLOCK_SAMPLES = 2 ** 14
+
 
 def to_db(values):
     """10*log10 with a floor of DB_FLOOR dB for zero/negative bins."""
@@ -189,6 +193,14 @@ def estimate_psd(samples, sample_rate, segment_len):
     the mean signal power.  The periodogram's bin-edge samples (0, fs/L,
     ..., fs/2) are averaged pairwise onto the midpoint grid, which preserves
     the trapezoidal power integral.
+
+    Segments are windowed, transformed and squared one block at a time, as
+    many as fit in _WELCH_BLOCK_SAMPLES samples (at least one), so the
+    scratch stays fixed however long the sequence.  Each block's
+    periodograms are added onto one running sum in segment order, first
+    segment first, which is np.mean's order over all of them at once; the
+    sum is then divided by the segment count, so the estimate equals the
+    one-shot mean bit for bit.
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1:
@@ -201,8 +213,17 @@ def estimate_psd(samples, sample_rate, segment_len):
 
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(segment_len) / segment_len)
     segments = np.lib.stride_tricks.sliding_window_view(x, segment_len)[::segment_len // 2]
-    spectra = np.fft.rfft(segments * window, axis=1)
-    pxx = np.mean(spectra.real ** 2 + spectra.imag ** 2, axis=0)
+    count = len(segments)
+    per_block = max(1, _WELCH_BLOCK_SAMPLES // segment_len)
+    # row 0 carries the running sum: each reduce adds a block's rows onto it
+    # in order, as np.mean's reduce over axis 0 adds every row
+    rows = np.zeros((min(per_block, count) + 1, segment_len // 2 + 1))
+    for start in range(0, count, per_block):
+        spectra = np.fft.rfft(segments[start:start + per_block] * window, axis=1)
+        block = rows[:len(spectra) + 1]
+        np.add(spectra.real ** 2, spectra.imag ** 2, out=block[1:])
+        block[0] = np.add.reduce(block, axis=0)
+    pxx = rows[0] / count
     pxx /= sample_rate * float(np.sum(window ** 2))
     pxx[1:-1] *= 2.0  # one-sided: fold the negative frequencies onto the positive ones
     vals = 0.5 * (pxx[:-1] + pxx[1:])

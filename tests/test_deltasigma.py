@@ -1,6 +1,7 @@
 import contextlib
 import itertools
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -556,6 +557,29 @@ class TestSimulate:
         expect = (sps.lfilter(num_s, den_s, x)
                   + sps.lfilter(num_n, den_n, trace.quantizer_error))
         assert np.max(np.abs(trace.output - expect)) <= bound * np.max(np.abs(trace.output))
+
+    def test_tracking_run_holds_three_records(self, dsm_design):
+        # a dithered run holds its dither, output and error (the input is
+        # the caller's), and the kernel's level lookup and the Welch
+        # estimate work in fixed blocks: one run and its tracking report
+        # peak below 3.5 records of 8 bytes a sample
+        target, ntf, cfg = dsm_design(4)
+        n = 2 ** 18
+        loop = q.loop_from_ntf(ntf)
+        x = dsm_tone(cfg, n, -6.0)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            trace = q.simulate(loop, cfg, x, seed=1)
+            q.measured_vs_predicted(trace, ntf, cfg, target)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 3.5 * 8 * n
 
     def test_non_strictly_proper_loop_rejected(self):
         cfg = q.ModulatorConfig(order=1)

@@ -9,6 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from qnshape import _kernels
 from qnshape._kernels import MAX_LEVELS, _quantizer_table, modulator_core
 
 STEP = 0.125
@@ -136,6 +137,20 @@ def test_saturations_counted_to_stop(dithered):
     assert 0 < sat <= stop + 1 < n
     _, _, sat_cut, stop_cut = _integrator(stop + 1, dither[:stop + 1])
     assert (sat_cut, stop_cut) == (sat, stop)
+
+
+@pytest.mark.parametrize("dithered", [False, True])
+def test_output_derived_in_small_blocks(monkeypatch, dithered):
+    # blocks of 5 samples after the loop: the outputs and the saturation
+    # count still match the reference on a saturating stable run, and on a
+    # diverging run that stops mid-block
+    monkeypatch.setattr(_kernels, "_LOOKUP_BLOCK", 5)
+    x, b, a, dither = _case(2, 4096, seed=5, amplitude=3.0)
+    dither = dither if dithered else np.zeros(0)
+    _, _, sat, stable = _run_both(x, b, a, STEP, LEVELS, dither)
+    assert sat > 0 and stable
+    stop = _integrator(4096, dither)[3]
+    assert (stop + 1) % 5 != 0
 
 
 def test_divergence_freezes_output():

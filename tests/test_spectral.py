@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import signal as sps
 
 import qnshape as q
+from qnshape import spectral
 
 
 class TestMakeGrid:
@@ -191,6 +192,25 @@ class TestEstimatePsd:
                            detrend=False, scaling="density")
         psd = q.estimate_psd(x, fs, segment_len=seg)
         assert_allclose(psd.values, 0.5 * (pxx[:-1] + pxx[1:]), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seg", [2, 64, 4096])
+    def test_blocks_match_the_one_shot_mean_bit_for_bit(self, seg):
+        # the spec: every windowed segment transformed at once, then
+        # np.mean over the segments; the estimate streams them in blocks
+        block = max(1, spectral._WELCH_BLOCK_SAMPLES // seg)
+        fs = 3.7e9
+        window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg) / seg)
+        # 127 segments: the tracking report's at 2^18 samples
+        for count in sorted({1, block - 1, block, block + 1, 2 * block + 3, 127} - {0}):
+            x = np.random.default_rng(count).standard_normal((count + 1) * seg // 2) + 0.3
+            segments = np.lib.stride_tricks.sliding_window_view(x, seg)[::seg // 2]
+            assert len(segments) == count
+            spectra = np.fft.rfft(segments * window, axis=1)
+            pxx = np.mean(spectra.real ** 2 + spectra.imag ** 2, axis=0)
+            pxx /= fs * float(np.sum(window ** 2))
+            pxx[1:-1] *= 2.0
+            psd = q.estimate_psd(x, fs, segment_len=seg)
+            assert_array_equal(psd.values, 0.5 * (pxx[:-1] + pxx[1:]), err_msg=f"{count} segments")
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="too few samples"):

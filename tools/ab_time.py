@@ -19,8 +19,12 @@ Both work on the delta-sigma test fixture's values: a 64-bin 1-notch
 wireless channel (seed 3) to 2e8 Hz at a 7.5e14 budget, OSR 12, 16 levels
 of step 0.125, peak NTF gain 1.5, a -6 dBFS sine at 0.35 of the band edge.
 For each operation it prints the median over rounds of the time ratio
-change / parent with its quartiles, and each tree's median time.  Needs
-only numpy; run from anywhere:
+change / parent with its quartiles, each tree's median time, and each
+tree's tracemalloc peak in MB: the most memory that numpy and Python held
+at once during one more, untimed call of the operation, the operation's
+inputs not counted.  So one run sizes a memory claim as well as a time
+claim; the peak of a given call does not vary from run to run.  Needs only
+numpy; run from anywhere:
 
     python3 tools/ab_time.py /path/to/parent/src src
 
@@ -39,6 +43,7 @@ import importlib.util
 import os
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -99,12 +104,21 @@ def main():
                 start = time.perf_counter()
                 fn()
                 times[r, k, side] = time.perf_counter() - start
-    print(f"{args.rounds} rounds; ratio = change / parent, median [quartiles]")
+    peaks = np.zeros((len(trees[0]), 2))
+    for k in range(len(trees[0])):
+        for side in (0, 1):
+            tracemalloc.start()
+            trees[side][k][1]()
+            peaks[k, side] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+    print(f"{args.rounds} rounds; ratio = change / parent, median [quartiles]; "
+          "peak = tracemalloc peak of one untimed call")
     for k, (label, _) in enumerate(trees[0]):
         q1, med, q3 = np.percentile(times[:, k, 1] / times[:, k, 0], [25, 50, 75])
         parent, change = np.median(times[:, k, 0]), np.median(times[:, k, 1])
         print(f"{label}: {med:.3f} [{q1:.3f}, {q3:.3f}]  "
-              f"parent {parent * 1e3:.1f} ms, change {change * 1e3:.1f} ms")
+              f"parent {parent * 1e3:.1f} ms, change {change * 1e3:.1f} ms; "
+              f"peak parent {peaks[k, 0] / 1e6:.2f} MB, change {peaks[k, 1] / 1e6:.2f} MB")
 
 
 if __name__ == "__main__":
