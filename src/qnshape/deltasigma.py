@@ -799,10 +799,13 @@ def read_tf(path):
                 continue
             key, _, rest = line.partition(":")
             fields[key.strip()] = rest.strip()
-    if not {"zeros", "poles", "gain"} <= set(fields):
-        raise ValueError("transfer function file must have zeros:, poles: and gain: lines")
-    return RationalTf(_parse_pairs(fields["zeros"]), _parse_pairs(fields["poles"]),
-                      float(fields["gain"]))
+    try:
+        if not {"zeros", "poles", "gain"} <= set(fields):
+            raise ValueError("transfer function file must have zeros:, poles: and gain: lines")
+        return RationalTf(_parse_pairs(fields["zeros"]), _parse_pairs(fields["poles"]),
+                          float(fields["gain"]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_trace_csv(trace, path):

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import PowerBudget, as_budget
+from .capacity import _SQRT12, PowerBudget, as_budget
 from .shaping import optimal_sq
 from .spectral import FrequencyGrid, Psd, _write_csv
-
-_SQRT12 = np.sqrt(12.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import capacity
-from .capacity import as_budget, bits_from_sq
+from .capacity import _SQRT12, as_budget, bits_from_sq
 from .spectral import Psd, _SHAPING_HEADER, _fmt, _write_csv, require_same_grid
-
-_SQRT12 = np.sqrt(12.0)
 
 SMALLNESS_WARN_RATIO = 0.1
 

@@ -204,6 +204,18 @@ class TestRationalTf:
         with pytest.raises(ValueError, match="must have zeros:, poles: and gain: lines"):
             q.read_tf(path)
 
+    @pytest.mark.parametrize("text", [
+        "zeros: 1\npoles: 0.5,0\ngain: 1\n",
+        "zeros: 1,x\npoles: 0.5,0\ngain: 1\n",
+        "zeros: 1,0.5\npoles: 0.5,0\ngain: 1\n",
+        "zeros: 1,0\npoles: 0.5,0\n",
+    ], ids=["no-imaginary-part", "not-a-number", "unpaired-root", "no-gain-line"])
+    def test_malformed_file_error_names_path(self, tmp_path, text):
+        path = tmp_path / "ntf.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            q.read_tf(path)
+
     @pytest.mark.parametrize("gain", [np.nan, np.inf])
     def test_non_finite_gain_rejected(self, gain):
         with pytest.raises(ValueError, match="^zeros, poles and gain must be finite$"):

@@ -22,11 +22,17 @@ directory.  Each line names the command, then gives its exit code, the
 sha256 of its stdout and stderr (the temporary directories' paths replaced
 by OUT and IN) and the sha256 of every file it wrote, so that a diff of two
 runs shows whether two versions of the package give byte-identical CLI
-output.  Every partition row writes the shaping.csv of a shape row with the
-same channel and budget, so their hashes must match.  A simulate run's
-summary.txt hash is followed by its measured_vs_* tracking entries as
-written, and a shape run's by its loss_vs_closed_form entry, so the diff
-also shows how far such a number moved.  Run from the repository root:
+output.  A simulate run's summary.txt hash is followed by its
+measured_vs_* tracking entries as written, and a shape run's by its
+loss_vs_closed_form entry, so the diff also shows how far such a number
+moved.  The table in commands() declares each row's contract: its exit
+code ("exit", 0 unless declared); for a partition row, the shape row with
+the same channel and budget, whose shaping.csv and stderr hashes it must
+equal ("same_as"); and for a run whose modulator diverges, that it writes
+no measured_vs_* entry ("tracking": False).  After printing every row the
+tool checks each against its contract, writes one line naming the row to
+stderr for each broken contract, and exits 1 if there was any.  Run from
+the repository root:
 
     PYTHONPATH=src python3 tools/cli_matrix.py > matrix.txt
 """
@@ -70,55 +76,81 @@ def write_inputs(folder):
 
 
 def commands(channel_csv, sq_csv, config):
-    """(name, argv) for each command of the matrix, given the input files."""
+    """(name, argv, contract) for each command of the matrix, given the input
+    files; the contract's keys are "exit", "same_as" and "tracking"."""
     wireline = ["--channel", "wireline", "--bins", "256", "--power", "2e12"]
     out_of_regime = ["--channel", "wireline", "--bins", "256", "--power", "1e9"]
     wireless = ["--channel", "wireless", "--bins", "64", "--fhi", "2e8", "--notches", "1",
                 "--notch-depth", "12", "--notch-width", "6e7", "--power", "7.5e14"]
     runs = [
-        ("shape", ["shape", *wireline]),
-        ("partition", ["partition", *wireline, "--n", "4"]),
+        ("shape", ["shape", *wireline], {}),
+        ("partition", ["partition", *wireline, "--n", "4"], {"same_as": "shape"}),
         ("partition-integer-ratio-n6", ["partition", *wireline, "--mode", "integer-ratio",
-                                        "--n", "6"]),
-        ("partition-equal-bandwidth", ["partition", *wireline, "--mode", "equal-bandwidth"]),
+                                        "--n", "6"], {"same_as": "shape"}),
+        ("partition-equal-bandwidth", ["partition", *wireline, "--mode", "equal-bandwidth"],
+         {"same_as": "shape"}),
         ("partition-equal-bandwidth-n6", ["partition", *wireline, "--mode", "equal-bandwidth",
-                                          "--n", "6"]),
-        ("partition-out-of-regime", ["partition", *out_of_regime, "--n", "4"]),
+                                          "--n", "6"], {"same_as": "shape"}),
+        # an out-of-regime run prints one warning line, the same for both commands
+        ("partition-out-of-regime", ["partition", *out_of_regime, "--n", "4"],
+         {"same_as": "shape-out-of-regime"}),
         ("partition-out-of-regime-tilted", ["partition", *out_of_regime, "--n", "4",
-                                            "--noise-tilt", "-50"]),
-        ("shape-out-of-regime", ["shape", *out_of_regime]),
-        ("shape-out-of-regime-tilted", ["shape", *out_of_regime, "--noise-tilt", "-50"]),
-        ("shape-file", ["shape", "--channel", f"file:{channel_csv}", "--power", "5e12"]),
+                                            "--noise-tilt", "-50"],
+         {"same_as": "shape-out-of-regime-tilted"}),
+        ("shape-out-of-regime", ["shape", *out_of_regime], {}),
+        ("shape-out-of-regime-tilted", ["shape", *out_of_regime, "--noise-tilt", "-50"], {}),
+        ("shape-file", ["shape", "--channel", f"file:{channel_csv}", "--power", "5e12"], {}),
         # a file: channel takes its grid from the file, so grid flags are refused
         ("shape-file-grid-flag", ["shape", "--channel", f"file:{channel_csv}", "--power", "5e12",
-                                  "--bins", "999", "--flo", "3", "--fhi", "5"]),
-        ("capacity-file-sq", ["capacity", "--channel", f"file:{channel_csv}", "--sq", sq_csv]),
-        ("partition-config", ["partition", "--config", config]),
-        ("simulate", ["simulate", *wireless, "--order", "4", "--osr", "12", "--dither"]),
+                                  "--bins", "999", "--flo", "3", "--fhi", "5"], {"exit": 1}),
+        ("capacity-file-sq", ["capacity", "--channel", f"file:{channel_csv}", "--sq", sq_csv],
+         {}),
+        ("partition-config", ["partition", "--config", config], {"same_as": "shape"}),
+        ("simulate", ["simulate", *wireless, "--order", "4", "--osr", "12", "--dither"], {}),
         # the fewest samples the tracking report takes
         ("simulate-min-samples", ["simulate", *wireless, "--order", "4", "--osr", "12",
-                                  "--dither", "--samples", "5461"]),
+                                  "--dither", "--samples", "5461"], {}),
         # 781 kHz comparison bins against 1.17 MHz Welch bins, so some hold none;
         # the later --bins wins
         ("simulate-bins256", ["simulate", *wireless, "--bins", "256", "--order", "4",
-                              "--osr", "12", "--dither"]),
+                              "--osr", "12", "--dither"], {}),
         # a step whose noise density step^2/(12*fs) overflows, or underflows, at the
         # run's sample rate: the error names that rate
         ("simulate-step-1e200", ["simulate", *wireless, "--order", "4", "--osr", "12",
-                                 "--dither", "--step", "1e200"]),
+                                 "--dither", "--step", "1e200"], {"exit": 1}),
         ("simulate-step-1e-160", ["simulate", *wireless, "--order", "4", "--osr", "12",
-                                  "--dither", "--step", "1e-160"]),
+                                  "--dither", "--step", "1e-160"], {"exit": 1}),
         # +12 dBFS drives the quantizer input past 10x full scale: stable=false
         ("simulate-unstable", ["simulate", *wireless, "--order", "4", "--osr", "12",
-                               "--amplitude-dbfs", "12"]),
+                               "--amplitude-dbfs", "12"], {"tracking": False}),
     ]
     trace = ["simulate", *wireless, "--save-trace"]
     for order in (4, 5, 6):
-        runs.append((f"trace-o{order}", [*trace, "--order", str(order)]))
-        runs.append((f"trace-o{order}-dither", [*trace, "--order", str(order), "--dither"]))
-    runs.append(("trace-levels2", [*trace, "--levels", "2", "--step", "1.0"]))
-    runs.append(("trace-plus6dbfs", [*trace, "--amplitude-dbfs", "6"]))
+        runs.append((f"trace-o{order}", [*trace, "--order", str(order)], {}))
+        runs.append((f"trace-o{order}-dither", [*trace, "--order", str(order), "--dither"], {}))
+    runs.append(("trace-levels2", [*trace, "--levels", "2", "--step", "1.0"],
+                 {"tracking": False}))
+    runs.append(("trace-plus6dbfs", [*trace, "--amplitude-dbfs", "6"], {}))
     return runs
+
+
+def broken(table, lines):
+    """One line naming the row for each contract of table that the printed
+    lines break."""
+    rows = {}
+    for line in lines:
+        name, *fields = line.split()
+        rows[name] = dict(field.split("=", 1) for field in fields)
+    for name, _, contract in table:
+        row, declared = rows[name], contract.get("exit", 0)
+        if row["exit"] != str(declared):
+            yield f"{name}: exit={row['exit']}, declared exit={declared}"
+        shape = contract.get("same_as")
+        for key in ("shaping.csv", "stderr") if shape else ():
+            if row.get(key) != rows[shape].get(key):
+                yield f"{name}: {key} differs from row {shape}'s"
+        if not contract.get("tracking", True) and any(k.startswith("measured_vs_") for k in row):
+            yield f"{name}: writes measured_vs_* entries, declared none"
 
 
 def _sha(data):
@@ -147,10 +179,17 @@ def fingerprint(argv, inputs):
 
 
 def main():
+    lines = []
     with tempfile.TemporaryDirectory() as inputs:
-        for name, argv in commands(*write_inputs(inputs)):
-            print(f"{name} {fingerprint(argv, inputs)}", flush=True)
+        table = commands(*write_inputs(inputs))
+        for name, argv, _ in table:
+            lines.append(f"{name} {fingerprint(argv, inputs)}")
+            print(lines[-1], flush=True)
+    problems = list(broken(table, lines))
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
