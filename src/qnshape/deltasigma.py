@@ -420,16 +420,6 @@ def _initial_pole_params(order, cfg):
     return starts
 
 
-def _plus_diagonal(a, d):
-    """a + np.diag(d) for a square a, bit for bit: the same sums, without
-    np.diag's Python-level wrapper."""
-    out = np.zeros(a.size)
-    out[::d.size + 1] = d
-    out = out.reshape(a.shape)
-    out += a
-    return out
-
-
 def _bounded_lm(fun, x0, lo, hi):
     """Minimize 0.5*|f(x)|^2 over the box lo < x < hi by Levenberg-Marquardt
     (Moré, "The Levenberg-Marquardt algorithm: implementation and theory",
@@ -444,9 +434,9 @@ def _bounded_lm(fun, x0, lo, hi):
     0 would stall there, since d|NTF|/d phi = 0 at phi = 0.)  Stops when an
     accepted step lowers the cost by at most 1e-12 of it, when a step is
     shorter than 1e-12 relative to x, or after 500 evaluations of fun.
-    Returns (x, cost).  The loop calls ufuncs and array methods rather than
-    numpy's Python-level wrappers; each float operation is the one the
-    wrapper would perform."""
+    Returns (x, cost).  Where the loop calls ufuncs in place of np.clip and
+    np.linalg.norm, each float operation is the one the wrapper would
+    perform."""
     x = np.array(x0, dtype=float)
     f, jac = fun(x)
     cost, nfev = 0.5 * float(f @ f), 1
@@ -459,15 +449,11 @@ def _bounded_lm(fun, x0, lo, hi):
             grad, normal = jx.T @ f, jx.T @ jx
             scale = np.maximum(scale, normal.diagonal())
             free = ~(((x - lo <= near) & (grad > 0)) | ((hi - x <= near) & (grad < 0)))
-            all_free = bool(free.all())
             # np.linalg.norm's own 1-D formula
             x_norm = math.sqrt(x @ x)
-        if all_free:
-            step = np.linalg.solve(_plus_diagonal(normal, mu * scale), -grad)
-        else:
-            step = np.zeros(x.size)
-            step[free] = np.linalg.solve(
-                _plus_diagonal(normal[free][:, free], mu * scale[free]), -grad[free])
+        step = np.zeros(x.size)
+        step[free] = np.linalg.solve(normal[free][:, free] + np.diag(mu * scale[free]),
+                                     -grad[free])
         # np.clip's minimum(maximum(...)) on finite values
         step = np.minimum(np.maximum(step, 0.995 * (lo - x)), 0.995 * (hi - x))
         # a bound a few ulps away can still be reached by rounding: stay put
@@ -781,12 +767,14 @@ def write_tf(tf, path):
         fh.write(f"gain: {tf.gain:.17g}\n")
 
 
-def _parse_pairs(text):
-    parts = text.split()
+def _parse_pairs(key, text):
     vals = []
-    for part in parts:
-        re_s, im_s = part.split(",")
-        vals.append(complex(float(re_s), float(im_s)))
+    for part in text.split():
+        try:
+            re_s, im_s = part.split(",")
+            vals.append(complex(float(re_s), float(im_s)))
+        except ValueError:
+            raise ValueError(f"{key}: expected re,im pairs, got {part!r}") from None
     return np.array(vals, dtype=complex)
 
 
@@ -802,7 +790,8 @@ def read_tf(path):
     try:
         if not {"zeros", "poles", "gain"} <= set(fields):
             raise ValueError("transfer function file must have zeros:, poles: and gain: lines")
-        return RationalTf(_parse_pairs(fields["zeros"]), _parse_pairs(fields["poles"]),
+        return RationalTf(_parse_pairs("zeros", fields["zeros"]),
+                          _parse_pairs("poles", fields["poles"]),
                           float(fields["gain"]))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

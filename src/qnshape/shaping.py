@@ -215,10 +215,9 @@ def verify_shaping(ch, sq, budget):
     budget = as_budget(budget)
     require_same_grid(ch.grid, sq.grid, "channel and quantization PSD")
     achieved = capacity.power_of_sq(sq).p
-    sx = ch.signal.values
-    total_noise = ch.noise.values + sq.values
+    # Sv > 0, so a zero-signal bin reads inf
     with np.errstate(divide="ignore"):
-        noise_over_signal = np.where(sx > 0, total_noise / np.where(sx > 0, sx, 1.0), np.inf)
+        noise_over_signal = (ch.noise.values + sq.values) / ch.signal.values
     return ShapingReport(
         power_residual=(achieved - budget.p) / budget.p,
         info_loss=capacity.info_loss(ch.noise, sq),

@@ -216,6 +216,14 @@ class TestRationalTf:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             q.read_tf(path)
 
+    @pytest.mark.parametrize("pair", ["1", "1,x"], ids=["no-imaginary-part", "not-a-number"])
+    def test_malformed_pair_error_names_key_and_form(self, tmp_path, pair):
+        path = tmp_path / "ntf.txt"
+        path.write_text(f"zeros: {pair}\npoles: 0.5,0\ngain: 1\n")
+        message = f"{path}: zeros: expected re,im pairs, got '{pair}'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            q.read_tf(path)
+
     @pytest.mark.parametrize("gain", [np.nan, np.inf])
     def test_non_finite_gain_rejected(self, gain):
         with pytest.raises(ValueError, match="^zeros, poles and gain must be finite$"):

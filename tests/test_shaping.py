@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -227,6 +228,38 @@ class TestNumericalOptimizer:
         assert res.converged
         assert_allclose(res.sq_opt.values, w * w / (12.0 * p * p), rtol=1e-12, atol=0.0)
 
+    def test_stationary_root_within_one_float_of_exact(self):
+        # log-uniform kappa over the exact solve's range, and kappa values at
+        # which Cardano's formula alone lands two floats from the correctly
+        # rounded root; the Newton polish brings each within one
+        kappa = np.concatenate([
+            10.0 ** np.random.default_rng(0).uniform(-30.0, 70.0, 2000),
+            [3292.4008836584358, 0.03553763939596137, 2.9660397119247373e-07,
+             56388137.60260247, 5.3771891542943535e-08]])
+        u = q.shaping._stationary_u(kappa)
+        exact = np.empty_like(u)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for i, (k, root) in enumerate(zip(kappa.tolist(), u.tolist())):
+                k, root = Decimal(k), Decimal(root)
+                for _ in range(3):
+                    root -= (root * root * (root - k) - k) / (root * (3 * root - 2 * k))
+                exact[i] = float(root)
+        # adjacent positive floats differ by 1 in their integer bit patterns
+        floats_apart = np.abs(u.view(np.int64) - exact.view(np.int64))
+        assert floats_apart.max() <= 1, kappa[floats_apart > 1]
+
+    @pytest.mark.parametrize("fixture, p", [("wireline_fixture", 2e12),
+                                            ("wireline_fixture", 1e9),
+                                            ("wireless_fixture", 5e12)])
+    def test_exact_lagrange_scale_is_stationary_constant(self, fixture, p, request):
+        # documented: lagrange_scale = c^(2/3), c = Sq^(3/2) / (Sv + Sq) in every bin
+        ch, _ = request.getfixturevalue(fixture)
+        res = q.optimal_sq_numerical(ch, q.PowerBudget(p))
+        sq, sv = res.sq_opt.values, ch.noise.values
+        assert_allclose(np.full(sq.size, res.lagrange_scale ** 1.5), sq ** 1.5 / (sv + sq),
+                        rtol=1e-11, atol=0.0)
+
 
 class TestVerifyShaping:
     def test_self_comparison(self, wireline_fixture):
@@ -273,6 +306,24 @@ class TestVerifyShaping:
             warnings.simplefilter("error")
             rep = q.verify_shaping(ch, ch.noise, q.PowerBudget(1e9))
         assert rep.max_sq_over_noise == 1.0
+
+    def test_max_noise_over_signal(self, wireline_fixture, wireless_fixture):
+        # both fixtures' signals are flat at 1; a sloped one tells Sx from 1/Sx
+        ch, budget = wireline_fixture
+        sloped = (q.wireline_channel(ch.grid, signal_level_0=10.0, signal_slope=-40.0), budget)
+        for ch, budget in (wireline_fixture, wireless_fixture, sloped):
+            sq = q.optimal_sq(ch.noise, budget).sq_opt
+            rep = q.verify_shaping(ch, sq, budget)
+            assert rep.max_noise_over_signal == np.max((ch.noise.values + sq.values)
+                                                       / ch.signal.values)
+
+    def test_zero_signal_bin_reads_infinite_noise_over_signal(self, wireline_fixture):
+        ch, budget = wireline_fixture
+        signal = ch.signal.values.copy()
+        signal[7] = 0.0
+        ch = q.ChannelSpec(q.Psd(ch.grid, signal), ch.noise)
+        rep = q.verify_shaping(ch, q.optimal_sq(ch.noise, budget).sq_opt, budget)
+        assert rep.max_noise_over_signal == np.inf
 
 
 def test_solves_measure_nothing(wireline_fixture, monkeypatch):
